@@ -62,7 +62,6 @@ class FitResult:
     penalty_value: float
     edf: float
     aic: float
-    deviance_g2: float
     df_nominal: int
     iterations: int
     converged: bool
@@ -74,6 +73,10 @@ class FitResult:
     @property
     def se(self) -> np.ndarray:
         return np.sqrt(np.diag(self.cov))
+
+    @property
+    def deviance_g2(self) -> float:
+        return deviance_g2(self)
 
 
 class _Arrays:
@@ -94,11 +97,13 @@ class _Arrays:
     def derivatives(self, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unpenalized score vector and expected information at pi."""
         J = d_pi_d_eta_batch(pi, self.pair)
-        B = J @ self.X
-        score = np.einsum("mqp,mq->p", B, self.Y / pi, optimize=True)
-        info = np.einsum(
-            "m,mqp,mq,mqr->pr", self.n, B, 1.0 / pi, B, optimize=True
-        )
+        # groups and cells stacked into one (G*q, p) operand, so score and
+        # information are plain matmuls: on these small arrays a per-call
+        # einsum path search costs more than the arithmetic
+        Bf = (J @ self.X).reshape(-1, self.X.shape[-1])
+        score = Bf.T @ (self.Y / pi).ravel()
+        w = (self.n[:, None] / pi).ravel()
+        info = Bf.T @ (Bf * w[:, None])
         return score, info
 
 
@@ -299,7 +304,6 @@ def fit(
         if failure_reason is None:
             failure_reason = str(exc)
     aic = -2.0 * (loglik - edf)
-    g2 = _g2(arrays, pi)
     free_cells = dataset.n_groups * (arrays.pair.n_cells - 1)
     df_nominal = int(free_cells - round(edf)) if np.isfinite(edf) else -1
 
@@ -314,7 +318,6 @@ def fit(
         penalty_value=tau_hat,
         edf=edf,
         aic=aic,
-        deviance_g2=g2,
         df_nominal=df_nominal,
         iterations=iterations,
         converged=converged,
@@ -330,14 +333,6 @@ def _edf(info: np.ndarray, P: np.ndarray, layout: ParamLayout) -> float:
     if not P.any():
         return float(info.shape[0])
     return float(np.trace(_solve_spd(info + P, info, layout)))
-
-
-def _g2(arrays: _Arrays, pi: np.ndarray) -> float:
-    expected = arrays.n[:, None] * pi
-    y = arrays.Y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(y > 0, y * np.log(np.where(y > 0, y / expected, 1.0)), 0.0)
-    return float(2.0 * terms.sum())
 
 
 # ---------------------------------------------------------------------------

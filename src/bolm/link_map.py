@@ -258,7 +258,7 @@ def d_pi_d_eta_batch(pi: np.ndarray, pair: OrdinalPair) -> np.ndarray:
     """Stacked Jacobians for (m, n_cells) probability rows."""
     cs = contrast_system(pair)
     mu = pi @ cs.L.T
-    A = np.einsum("ka,kb,mk->mab", cs.C, cs.L, 1.0 / mu, optimize=True)
+    A = (cs.C.T[None] / mu[:, None, :]) @ cs.L
     return np.linalg.inv(A)
 
 

@@ -333,18 +333,21 @@ class ParamLayout:
         return beta
 
 
-def build_design_matrix(spec: ModelSpec, covariates: np.ndarray) -> np.ndarray:
+def build_design_matrix(
+    spec: ModelSpec, covariates: np.ndarray, layout: ParamLayout | None = None
+) -> np.ndarray:
     """Design matrix mapping the parameter vector to one profile's predictor.
 
     The first row is identically zero (null contrast).  Rows then follow
-    the predictor layout; columns follow ParamLayout.
+    the predictor layout; columns follow ParamLayout.  A caller building
+    many profiles may pass the spec's layout to avoid rebuilding it.
     """
     x = np.asarray(covariates, dtype=float).reshape(-1)
     if x.size != len(spec.covariate_names):
         raise ValueError(
             f"expected {len(spec.covariate_names)} covariates, got {x.size}"
         )
-    layout = ParamLayout(spec)
+    layout = layout if layout is not None else ParamLayout(spec)
     pair = spec.pair
     X = np.zeros((pair.n_eta, layout.size))
     values = dict(zip(spec.covariate_names, x))
@@ -371,6 +374,7 @@ def design_matrices(spec: ModelSpec, dataset: Dataset) -> np.ndarray:
         raise ValueError("dataset and spec disagree on category counts")
     if dataset.n_covariates != len(spec.covariate_names):
         raise ValueError("dataset and spec disagree on covariate count")
+    layout = ParamLayout(spec)
     return np.stack(
-        [build_design_matrix(spec, g.covariates) for g in dataset.groups]
+        [build_design_matrix(spec, g.covariates, layout) for g in dataset.groups]
     )

@@ -320,22 +320,27 @@ class OrderingState:
         v = self.G @ beta - self.margin
         return float((self.coef * v * v).sum())
 
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """G and coef with groups and rows stacked: (g*r, p) and (g*r,)."""
+        return self.G.reshape(-1, self.G.shape[-1]), self.coef.ravel()
+
     def grad(self, beta: np.ndarray) -> np.ndarray:
         """P beta - q, the gradient of tau / 2."""
-        v = self.coef * (self.G @ beta - self.margin)
-        return np.einsum("gr,grp->p", v, self.G, optimize=True)
+        G, coef = self._rows()
+        return (coef * (G @ beta - self.margin)) @ G
 
     def matrix(self) -> np.ndarray:
-        return np.einsum("gr,gra,grb->ab", self.coef, self.G, self.G, optimize=True)
+        G, coef = self._rows()
+        return G.T @ (G * coef[:, None])
 
     def q_vector(self) -> np.ndarray:
-        return self.margin * np.einsum("gr,gra->a", self.coef, self.G, optimize=True)
+        G, coef = self._rows()
+        return self.margin * (coef @ G)
 
     def q_bound(self) -> np.ndarray:
         """Componentwise bound |q| used for score noise floors."""
-        return abs(self.margin) * np.einsum(
-            "gr,gra->a", self.coef, np.abs(self.G), optimize=True
-        )
+        G, coef = self._rows()
+        return abs(self.margin) * (coef @ np.abs(G))
 
     def const(self) -> float:
         return float(self.margin * self.margin * self.coef.sum())
@@ -354,7 +359,7 @@ def ordering_state(
     p = X.shape[-1]
     if M.shape[0] == 0 or (lambda1 == 0.0 and lambda2 == 0.0):
         return OrderingState(np.zeros((1, 0, p)), np.zeros((1, 0)), margin)
-    G = np.einsum("re,gep->grp", M, X, optimize=True)
+    G = M @ X
     v = G @ beta
     lam = np.concatenate(
         [np.full(pair.m1 - 1, lambda1), np.full(pair.m2 - 1, lambda2)]

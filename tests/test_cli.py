@@ -368,6 +368,31 @@ def test_simulate_loss_benchmark_rows(tmp_path):
     assert int(rows[2][6]) == 3  # the uniform model always fits
 
 
+def test_simulate_outputs_do_not_depend_on_threads(tmp_path):
+    experiments = {
+        "null_calibration": (
+            {"replicates": 4, "n": 200, "lambdas": [0.0, 50.0]},
+            ("null_replicates.csv", "null_summary.csv"),
+        ),
+        "loss_benchmark": (
+            {"replicates": 2, "n": 300, "lambdas": [0.0, 1.0]},
+            ("benchmark_summary.csv",),
+        ),
+    }
+    for experiment, (sizes, files) in experiments.items():
+        cfg = write_json(
+            tmp_path, f"{experiment}.json", {"experiment": experiment, "seed": 4, **sizes}
+        )
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{experiment}-{threads}"
+            argv = ["simulate", "--config", cfg, "--threads", threads, "--out", str(out)]
+            assert main(argv) == 0
+            outs.append(out)
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_fit_failure_writes_report_and_exits_3(tmp_path, capsys):
     truth = default_loss_benchmark_truth(n=400)
     dataset = sample_dataset(truth, seed=20260816, stream=0)

@@ -5,6 +5,7 @@ import pytest
 
 from bolm.estimator import (
     FitOptions,
+    _Arrays,
     default_start,
     deviance_g2,
     fit,
@@ -12,7 +13,7 @@ from bolm.estimator import (
     penalized_score,
     unpenalized_fisher,
 )
-from bolm.link_map import IncompatibleEta, eta_to_pi
+from bolm.link_map import IncompatibleEta, d_pi_d_eta, eta_to_pi, pi_to_eta
 from bolm.model_core import (
     INTERCEPT,
     Dataset,
@@ -218,6 +219,62 @@ def test_fisher_matrices_are_consistent():
     np.testing.assert_allclose(FP - F, P, atol=1e-10)
     eig = np.linalg.eigvalsh(F)
     assert eig.min() > 0.0
+
+
+def _information_cases():
+    """(dataset, spec, beta0): a 3x3 table with G = 400, a 7x7 with G = 1."""
+    truth = default_loss_benchmark_truth(n=400)
+    wide = sample_dataset(truth, seed=11, stream=0)
+    assert wide.n_groups == 400
+    table = os_dataset()
+    smoothed = table.groups[0].counts + 0.5
+    # the saturated spec maps beta straight onto eta without the null row
+    beta_os = pi_to_eta(smoothed / smoothed.sum())[1:]
+    return [
+        (wide, truth.spec, truth.beta_true),
+        (table, nupom_spec(table.pair), beta_os),
+    ]
+
+
+def test_information_matches_score_finite_differences():
+    # with the counts fixed at their expectation n pi(beta0), the score's
+    # Jacobian at beta0 is exactly minus the expected information
+    for dataset, spec, beta0 in _information_cases():
+        arrays = _Arrays(dataset, spec)
+        pi0, _ = arrays.probs(beta0)
+        arrays.Y = arrays.n[:, None] * pi0
+
+        def score(b):
+            return arrays.derivatives(arrays.probs(b)[0])[0]
+
+        h = 1e-5
+        jac = np.empty((beta0.size, beta0.size))
+        for j in range(beta0.size):
+            step = np.zeros(beta0.size)
+            step[j] = h
+            jac[:, j] = (score(beta0 + step) - score(beta0 - step)) / (2 * h)
+        F = unpenalized_fisher(beta0, dataset, spec)
+        assert np.max(np.abs(-jac - F)) <= 1e-5 * np.max(np.abs(F))
+
+
+def test_derivatives_match_per_group_loop():
+    for dataset, spec, beta0 in _information_cases():
+        arrays = _Arrays(dataset, spec)
+        pi, _ = arrays.probs(beta0)
+        score, info = arrays.derivatives(pi)
+        ref_score = np.zeros(beta0.size)
+        ref_info = np.zeros((beta0.size, beta0.size))
+        for g, pi_g in zip(dataset.groups, pi):
+            B = d_pi_d_eta(pi_g, spec.pair) @ build_design_matrix(spec, g.covariates)
+            y = g.counts.reshape(-1)
+            ref_score += B.T @ (y / pi_g)
+            ref_info += g.total * B.T @ np.diag(1.0 / pi_g) @ B
+        np.testing.assert_allclose(
+            score, ref_score, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_score))
+        )
+        np.testing.assert_allclose(
+            info, ref_info, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_info))
+        )
 
 
 def test_deviance_matches_direct_formula():
