@@ -13,7 +13,6 @@ from .estimator import (
     SingularFisher,
     deviance_g2,
     fit,
-    hat_trace_and_aic,
     penalized_fisher,
     unpenalized_fisher,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "gray_flattening_law",
     "gray_null_weights",
     "gray_weights_from_information",
-    "hat_trace_and_aic",
     "is_nested",
     "lrp_statistic",
     "penalized_fisher",

@@ -49,7 +49,6 @@ from .model_core import (
     Group,
     ModelSpec,
     OrdinalPair,
-    ParamLayout,
     build_design_matrix,
 )
 from .penalties import PenaltyConfig, build_penalty_matrix
@@ -76,6 +75,30 @@ _TERM_SCHEMA = {
     "required": ["lambda"],
 }
 
+
+def _when(key: str, values: list, then: dict) -> dict:
+    """``then`` applies to objects whose ``key`` is one of ``values``."""
+    return {
+        "if": {"required": [key], "properties": {key: {"enum": values}}},
+        "then": then,
+    }
+
+
+def _needs_terms(*keys: str) -> dict:
+    """A non-empty terms list whose terms carry exactly ``keys`` (plus
+    variable and lambda) of the term fields."""
+    props = _TERM_SCHEMA["properties"]
+    term = {
+        **_TERM_SCHEMA,
+        "properties": {k: props[k] for k in (*keys, "variable", "lambda")},
+        "required": [*keys, "lambda"],
+    }
+    return {
+        "required": ["terms"],
+        "properties": {"terms": {"minItems": 1, "items": term}},
+    }
+
+
 _PENALTY_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -90,6 +113,16 @@ _PENALTY_SCHEMA = {
         "margin": {"type": "number", "minimum": 0},
         "parts": {"type": "array", "items": {"$ref": "#/$defs/penalty"}},
     },
+    "allOf": [
+        _when("family", ["ridge", "arc1"], _needs_terms("equation")),
+        _when("family", ["arc2"], _needs_terms("stream", "order")),
+        _when("family", ["ordering"], {"required": ["lambda1", "lambda2"]}),
+        _when(
+            "family",
+            ["composite"],
+            {"required": ["parts"], "properties": {"parts": {"minItems": 1}}},
+        ),
+    ],
 }
 
 _DATASET_SCHEMA = {
@@ -107,6 +140,7 @@ _DATASET_SCHEMA = {
         },
         "center": {"type": "boolean"},
     },
+    "allOf": [_when("format", ["long"], {"required": ["pair"]})],
 }
 
 _EQUATION_SCHEMA = {
@@ -158,7 +192,6 @@ _SCHEMAS = {
         },
     },
     "profile": {
-        "$defs": {"penalty": _PENALTY_SCHEMA},
         "type": "object",
         "additionalProperties": False,
         "required": ["dataset", "model", "s_values"],
@@ -183,6 +216,7 @@ _SCHEMAS = {
             "fit_options": _FIT_OPTIONS_SCHEMA,
             "seed": _SEED_SCHEMA,
         },
+        "oneOf": [{"required": ["log_lambdas"]}, {"required": ["lambdas"]}],
     },
     "lrtest": {
         "$defs": {"penalty": _PENALTY_SCHEMA},
@@ -207,7 +241,6 @@ _SCHEMAS = {
         },
     },
     "simulate": {
-        "$defs": {"penalty": _PENALTY_SCHEMA},
         "type": "object",
         "additionalProperties": False,
         "required": ["experiment"],
@@ -224,7 +257,6 @@ _SCHEMAS = {
         },
     },
     "empirical": {
-        "$defs": {"penalty": _PENALTY_SCHEMA},
         "type": "object",
         "additionalProperties": False,
         "required": ["dataset"],
@@ -257,7 +289,11 @@ def _validate_config(config: dict, schema: dict) -> None:
     )
     if errors:
         e = errors[0]
-        raise ConfigError(f"config {e.json_path}: {e.message}")
+        message = e.message
+        if e.validator == "oneOf":  # name the alternatives, not the config
+            keys = [alt["required"][0] for alt in e.validator_value]
+            message = f"give exactly one of {' and '.join(keys)}"
+        raise ConfigError(f"config {e.json_path}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +395,10 @@ def _build_dataset(dscfg: dict, base_dir: Path) -> tuple[Dataset, list[str], dic
         raise ConfigError(f"data file not found: {path}")
     fmt = dscfg["format"]
     center = bool(dscfg.get("center", False))
+    declared = dscfg.get("pair")
     if fmt == "table":
         counts = _read_table_file(path)
         pair = OrdinalPair(counts.shape[0], counts.shape[1])
-        declared = dscfg.get("pair")
         if declared is not None and tuple(declared) != (pair.d1, pair.d2):
             raise ConfigError(
                 f"declared pair {tuple(declared)} does not match "
@@ -371,9 +407,6 @@ def _build_dataset(dscfg: dict, base_dir: Path) -> tuple[Dataset, list[str], dic
         cov_names: list[str] = []
         profiles = [((), counts)]
     else:
-        declared = dscfg.get("pair")
-        if declared is None:
-            raise ConfigError("long format needs an explicit dataset pair")
         pair = OrdinalPair(int(declared[0]), int(declared[1]))
         cov_names, profiles = _read_long_file(path, pair)
 
@@ -438,61 +471,32 @@ def _parse_model(mcfg: dict, pair: OrdinalPair, cov_names: list[str]) -> ModelSp
         raise ConfigError(str(exc))
 
 
-def _term_key(term: dict) -> tuple:
+def _term_key(term: dict, key: str) -> tuple:
     var = term.get("variable")
-    return (term["equation"], INTERCEPT if var is None else var)
+    return (term[key], INTERCEPT if var is None else var)
 
 
 def _parse_penalty(pcfg: dict | None) -> PenaltyConfig:
-    if pcfg is None:
+    """Map a schema-valid penalty config onto a PenaltyConfig."""
+    family = "none" if pcfg is None else pcfg["family"]
+    if family == "none":
         return PenaltyConfig.none()
-    family = pcfg["family"]
-    try:
-        if family == "none":
-            return PenaltyConfig.none()
-        if family in ("ridge", "arc1"):
-            terms = pcfg.get("terms", [])
-            if not terms:
-                raise ConfigError(f"{family} penalty needs terms")
-            lambdas = {}
-            for term in terms:
-                if "equation" not in term:
-                    raise ConfigError(f"{family} terms need an equation")
-                if "stream" in term or "order" in term:
-                    raise ConfigError(
-                        f"{family} terms take equation and lambda only"
-                    )
-                lambdas[_term_key(term)] = float(term["lambda"])
-            return getattr(PenaltyConfig, family)(lambdas)
-        if family == "arc2":
-            terms = pcfg.get("terms", [])
-            if not terms:
-                raise ConfigError("arc2 penalty needs terms")
-            lambdas, orders = {}, {}
-            for term in terms:
-                if "stream" not in term or "order" not in term:
-                    raise ConfigError("arc2 terms need stream and order")
-                if "equation" in term:
-                    raise ConfigError("arc2 terms are keyed by stream, not equation")
-                var = term.get("variable")
-                key = (term["stream"], INTERCEPT if var is None else var)
-                lambdas[key] = float(term["lambda"])
-                orders[key] = int(term["order"])
-            return PenaltyConfig.arc2(lambdas, orders)
-        if family == "ordering":
-            if "lambda1" not in pcfg or "lambda2" not in pcfg:
-                raise ConfigError("ordering penalty needs lambda1 and lambda2")
-            return PenaltyConfig.ordering(
-                float(pcfg["lambda1"]),
-                float(pcfg["lambda2"]),
-                float(pcfg.get("margin", 0.0)),
-            )
-        parts = [_parse_penalty(p) for p in pcfg.get("parts", [])]
-        if not parts:
-            raise ConfigError("composite penalty needs parts")
-        return PenaltyConfig.composite(*parts)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if family in ("ridge", "arc1"):
+        lambdas = {_term_key(t, "equation"): float(t["lambda"]) for t in pcfg["terms"]}
+        return getattr(PenaltyConfig, family)(lambdas)
+    if family == "arc2":
+        terms = pcfg["terms"]
+        return PenaltyConfig.arc2(
+            {_term_key(t, "stream"): float(t["lambda"]) for t in terms},
+            {_term_key(t, "stream"): int(t["order"]) for t in terms},
+        )
+    if family == "ordering":
+        return PenaltyConfig.ordering(
+            float(pcfg["lambda1"]),
+            float(pcfg["lambda2"]),
+            float(pcfg.get("margin", 0.0)),
+        )
+    return PenaltyConfig.composite(*(_parse_penalty(p) for p in pcfg["parts"]))
 
 
 def _check_penalty_targets(penalty: PenaltyConfig, spec: ModelSpec) -> None:
@@ -595,8 +599,11 @@ def cmd_fit(config: dict, seed: int, out: Path, threads: int) -> int:
     estimates = []
     se = result.se
     for label, b, s in zip(result.layout.labels(), result.beta_hat, se):
-        z = b / s if s > 0 else float("inf") * np.sign(b) if b else 0.0
-        p = 2.0 * float(stats.norm.sf(abs(z))) if math.isfinite(z) else 0.0
+        if s > 0 or math.isnan(s):  # a singular fit's NaN se leaves z and p NaN
+            z = b / s
+        else:
+            z = float("inf") * np.sign(b) if b else 0.0
+        p = 0.0 if math.isinf(z) else 2.0 * float(stats.norm.sf(abs(z)))
         estimates.append(
             {
                 "label": label,
@@ -670,11 +677,7 @@ def cmd_profile(
     options = _parse_fit_options(config)
     s_values = list(config["s_values"])
 
-    has_log = "log_lambdas" in config
-    has_raw = "lambdas" in config
-    if has_log == has_raw:
-        raise ConfigError("give exactly one of log_lambdas and lambdas")
-    if has_log:
+    if "log_lambdas" in config:
         lambdas = sorted(float(log_base) ** float(g) for g in config["log_lambdas"])
     else:
         lambdas = sorted(float(v) for v in config["lambdas"])
@@ -705,7 +708,7 @@ def _exclusion_delta(full_spec: ModelSpec, reduced_spec: ModelSpec) -> np.ndarra
         raise ConfigError(
             "mc p-value supports variable-exclusion hypotheses only"
         )
-    layout = ParamLayout(full_spec)
+    layout = full_spec.layout
     indices: list[int] = []
     for k in (1, 2, 3):
         fe = full_spec.equation(k)
@@ -725,7 +728,7 @@ def _exclusion_delta(full_spec: ModelSpec, reduced_spec: ModelSpec) -> np.ndarra
 
 
 def _embed_reduced_beta(reduced_fit: FitResult, full_spec: ModelSpec) -> np.ndarray:
-    layout = ParamLayout(full_spec)
+    layout = full_spec.layout
     beta = np.zeros(layout.size)
     for block in reduced_fit.layout.blocks:
         target = layout.block(block.equation, block.variable)
@@ -878,8 +881,7 @@ def cmd_simulate(config: dict, seed: int, out: Path, threads: int) -> int:
 def cmd_empirical(config: dict, seed: int, out: Path, threads: int) -> int:
     base = config["_base_dir"]
     dataset, _, _ = _build_dataset(config["dataset"], base)
-    pooled = np.sum([g.counts for g in dataset.groups], axis=0)
-    grid = empirical_log_gors(pooled)
+    grid = empirical_log_gors(dataset.pooled_counts())
     rows = [
         (r + 1, c + 1, grid[r, c])
         for r in range(grid.shape[0])

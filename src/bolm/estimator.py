@@ -84,7 +84,6 @@ class _Arrays:
 
     def __init__(self, dataset: Dataset, spec: ModelSpec):
         self.pair = spec.pair
-        self.layout = ParamLayout(spec)
         self.X = design_matrices(spec, dataset)
         self.Y = dataset.count_matrix()
         self.n = self.Y.sum(axis=1)
@@ -129,7 +128,7 @@ def default_start(dataset: Dataset, spec: ModelSpec) -> np.ndarray:
     A margin containing an empty category gets add-0.5 smoothing so the
     cumulative fractions stay strictly increasing.
     """
-    layout = ParamLayout(spec)
+    layout = spec.layout
     beta = np.zeros(layout.size)
     pooled = dataset.pooled_counts().astype(float)
     for k, counts in ((1, pooled.sum(axis=1)), (2, pooled.sum(axis=0))):
@@ -224,7 +223,7 @@ def fit(
     penalty = penalty if penalty is not None else PenaltyConfig.none()
     options = options if options is not None else FitOptions()
     arrays = _Arrays(dataset, spec)
-    layout = arrays.layout
+    layout = spec.layout
 
     static = PenaltyOperator(
         PenaltyConfig.composite(*penalty.static_parts()), spec
@@ -351,28 +350,16 @@ def penalized_score(
 def penalized_fisher(
     beta: np.ndarray, dataset: Dataset, spec: ModelSpec, P: np.ndarray
 ) -> np.ndarray:
-    arrays = _Arrays(dataset, spec)
-    pi, _ = arrays.probs(np.asarray(beta, dtype=float))
-    _, info = arrays.derivatives(pi)
-    return info + P
+    return unpenalized_fisher(beta, dataset, spec) + P
 
 
 def unpenalized_fisher(
     beta: np.ndarray, dataset: Dataset, spec: ModelSpec
 ) -> np.ndarray:
-    layout = ParamLayout(spec)
-    return penalized_fisher(beta, dataset, spec, np.zeros((layout.size, layout.size)))
-
-
-def hat_trace_and_aic(
-    dataset: Dataset, spec: ModelSpec, beta: np.ndarray, P: np.ndarray
-) -> tuple[float, float]:
-    """Effective df tr(H) and AIC = -2 (loglik - tr(H)) at beta."""
     arrays = _Arrays(dataset, spec)
-    pi, loglik = arrays.probs(np.asarray(beta, dtype=float))
+    pi, _ = arrays.probs(np.asarray(beta, dtype=float))
     _, info = arrays.derivatives(pi)
-    edf = _edf(info, P, arrays.layout)
-    return edf, -2.0 * (loglik - edf)
+    return info
 
 
 def deviance_g2(fit_result: FitResult, dataset: Dataset | None = None) -> float:

@@ -38,7 +38,6 @@ from .model_core import (
     EquationTerms,
     ModelSpec,
     OrdinalPair,
-    ParamLayout,
 )
 from .penalties import PenaltyConfig, PenaltyOperator, build_penalty_matrix
 from .simulation import CovariateLaw, GeneratingModel, _pool_map, _stream_rng, sample_dataset
@@ -148,7 +147,7 @@ def effective_dimension(spec: ModelSpec, penalty: PenaltyConfig | None = None) -
     ones).  Ordering penalties never constrain dimension: they vanish
     on an open set.
     """
-    layout = ParamLayout(spec)
+    layout = spec.layout
     dim = layout.size
     if penalty is None or penalty.is_null:
         return dim
@@ -661,7 +660,7 @@ def simulate_lrp_null(
             "the full model must keep the covariate category dependent in the "
             "association equation"
         )
-    layout = ParamLayout(truth.spec)
+    layout = truth.spec.layout
     block = layout.block(3, variable)
     values = truth.beta_true[block.slice]
     if not np.allclose(values, values[0], rtol=0.0, atol=1e-12):

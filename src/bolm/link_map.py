@@ -12,7 +12,7 @@ Both directions are smooth; the inverse solves a quadratic per cut point
 
 The same map in matrix form is eta = C' log(L pi) for 0/1 matrices L
 (cumulative sums) and a contrast matrix C.  ContrastSystem builds both;
-the direct formulas below must agree with the matrix path.
+the Jacobian d pi / d eta is the inverse of C' diag(L pi)^-1 L.
 """
 
 from __future__ import annotations
@@ -119,12 +119,6 @@ def pi_to_eta(pi: np.ndarray, pair: OrdinalPair | None = None) -> np.ndarray:
     den = (mu_r[:, None] - joint) * (mu_c[None, :] - joint)
     eta[1 + pair.m1 + pair.m2 :] = (np.log(num) - np.log(den)).reshape(-1)
     return eta
-
-
-def pi_to_eta_matrix(pi: np.ndarray, pair: OrdinalPair) -> np.ndarray:
-    """Matrix-path predictor C' log(L pi); agrees with pi_to_eta."""
-    cs = contrast_system(pair)
-    return cs.C.T @ np.log(cs.L @ np.asarray(pi, dtype=float).reshape(-1))
 
 
 def plackett_inverse(mu_r, mu_c, psi):

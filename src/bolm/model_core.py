@@ -16,6 +16,7 @@ intercept block can be collapsed to a single parameter with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -248,6 +249,13 @@ class ModelSpec:
             return 1
         return self.block_length(k)
 
+    @cached_property
+    def layout(self) -> "ParamLayout":
+        """The spec's parameter layout, built once.  The cache lives in the
+        instance dict, outside the fields, so equality, hashing and
+        dataclasses.replace are unaffected."""
+        return ParamLayout(self)
+
 
 @dataclass(frozen=True)
 class Block:
@@ -319,35 +327,19 @@ class ParamLayout:
                     out.append(f"eq{b.equation}:{b.variable}:{j + 1}")
         return out
 
-    def vector_from_blocks(self, values: dict) -> np.ndarray:
-        """Assemble a parameter vector from {(equation, variable): values}."""
-        beta = np.zeros(self.size)
-        for (k, var), vals in values.items():
-            b = self.block(k, var)
-            arr = np.asarray(vals, dtype=float).reshape(-1)
-            if arr.size != b.length:
-                raise ValueError(
-                    f"block eq{k}:{var} expects {b.length} values, got {arr.size}"
-                )
-            beta[b.slice] = arr
-        return beta
 
-
-def build_design_matrix(
-    spec: ModelSpec, covariates: np.ndarray, layout: ParamLayout | None = None
-) -> np.ndarray:
+def build_design_matrix(spec: ModelSpec, covariates: np.ndarray) -> np.ndarray:
     """Design matrix mapping the parameter vector to one profile's predictor.
 
     The first row is identically zero (null contrast).  Rows then follow
-    the predictor layout; columns follow ParamLayout.  A caller building
-    many profiles may pass the spec's layout to avoid rebuilding it.
+    the predictor layout; columns follow ParamLayout.
     """
     x = np.asarray(covariates, dtype=float).reshape(-1)
     if x.size != len(spec.covariate_names):
         raise ValueError(
             f"expected {len(spec.covariate_names)} covariates, got {x.size}"
         )
-    layout = layout if layout is not None else ParamLayout(spec)
+    layout = spec.layout
     pair = spec.pair
     X = np.zeros((pair.n_eta, layout.size))
     values = dict(zip(spec.covariate_names, x))
@@ -374,7 +366,4 @@ def design_matrices(spec: ModelSpec, dataset: Dataset) -> np.ndarray:
         raise ValueError("dataset and spec disagree on category counts")
     if dataset.n_covariates != len(spec.covariate_names):
         raise ValueError("dataset and spec disagree on covariate count")
-    layout = ParamLayout(spec)
-    return np.stack(
-        [build_design_matrix(spec, g.covariates, layout) for g in dataset.groups]
-    )
+    return np.stack([build_design_matrix(spec, g.covariates) for g in dataset.groups])

@@ -145,7 +145,7 @@ class PenaltyConfig:
 
         Ordering parts are excluded (their operator depends on beta).
         """
-        layout = ParamLayout(spec)
+        layout = spec.layout
         out: list[tuple[tuple[int, str], float, np.ndarray]] = []
         for part in self.static_parts():
             if part.family in ("ridge", "arc1"):
@@ -209,7 +209,7 @@ def build_penalty_matrix(config: PenaltyConfig, spec: ModelSpec) -> np.ndarray:
         raise ValueError(
             "ordering penalty depends on beta; use build_ordering_penalty"
         )
-    layout = ParamLayout(spec)
+    layout = spec.layout
     P = np.zeros((layout.size, layout.size))
     for (k, var), lam, K in config.block_operators(spec):
         b = layout.block(k, var)
@@ -235,7 +235,7 @@ class PenaltyOperator:
     def __init__(self, config: PenaltyConfig, spec: ModelSpec):
         if config.ordering_parts():
             raise ValueError("ordering penalty depends on beta")
-        layout = ParamLayout(spec)
+        layout = spec.layout
         self.size = layout.size
         self.terms = [
             (layout.block(k, var).slice, lam, K)
@@ -284,25 +284,6 @@ def marginal_difference_selector(pair: OrdinalPair) -> np.ndarray:
     return np.array(rows) if rows else np.zeros((0, pair.n_eta))
 
 
-def ordering_terms(
-    X: np.ndarray,
-    weights: np.ndarray,
-    pair: OrdinalPair,
-    beta: np.ndarray,
-    lambda1: float,
-    lambda2: float,
-    margin: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Quadratic expansion of the ordering penalty at beta.
-
-    Returns (P, q, const) with tau(b) = b'Pb - 2 q'b + const for the
-    indicator frozen at the supplied beta.  With margin 0 this is the
-    pure quadratic form beta' P beta.
-    """
-    state = ordering_state(X, weights, pair, beta, lambda1, lambda2, margin)
-    return state.matrix(), state.q_vector(), state.const()
-
-
 @dataclass(frozen=True)
 class OrderingState:
     """Ordering penalty with the violation set frozen at one iterate.
@@ -333,17 +314,10 @@ class OrderingState:
         G, coef = self._rows()
         return G.T @ (G * coef[:, None])
 
-    def q_vector(self) -> np.ndarray:
-        G, coef = self._rows()
-        return self.margin * (coef @ G)
-
     def q_bound(self) -> np.ndarray:
         """Componentwise bound |q| used for score noise floors."""
         G, coef = self._rows()
         return abs(self.margin) * (coef @ np.abs(G))
-
-    def const(self) -> float:
-        return float(self.margin * self.margin * self.coef.sum())
 
 
 def ordering_state(
@@ -383,10 +357,9 @@ def build_ordering_penalty(
     """
     X = design_matrices(spec, dataset)
     weights = np.array([g.total for g in dataset.groups], dtype=float)
-    P, _, _ = ordering_terms(
+    return ordering_state(
         X, weights, spec.pair, np.asarray(beta, dtype=float), lambda1, lambda2
-    )
-    return P
+    ).matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -404,28 +377,6 @@ class LimitStructure:
     def __post_init__(self) -> None:
         exps = tuple(product(range(self.s3), range(self.s4)))
         object.__setattr__(self, "exponents", exps)
-
-    @property
-    def dimension(self) -> int:
-        return self.s3 * self.s4
-
-    def describe(self) -> str:
-        terms = []
-        for a, b in self.exponents:
-            ra = "" if a == 0 else ("r" if a == 1 else f"r^{a}")
-            cb = "" if b == 0 else ("c" if b == 1 else f"c^{b}")
-            terms.append((ra + cb) or "1")
-        deg = self.s3 + self.s4 - 2
-        return f"polynomial surface of degree {deg} (basis: {', '.join(terms)})"
-
-    def basis(self, pair: OrdinalPair) -> np.ndarray:
-        """Monomials r^a c^b over the cut grid, shape (m3, dimension)."""
-        r = np.arange(1, pair.m1 + 1, dtype=float)
-        c = np.arange(1, pair.m2 + 1, dtype=float)
-        cols = [
-            np.outer(r**a, c**b).reshape(-1) for a, b in self.exponents
-        ]
-        return np.column_stack(cols)
 
 
 def arc2_limit_structure(s3: int, s4: int) -> LimitStructure:

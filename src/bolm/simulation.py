@@ -29,7 +29,6 @@ from .model_core import (
     Group,
     ModelSpec,
     OrdinalPair,
-    ParamLayout,
     build_design_matrix,
 )
 from .penalties import PenaltyConfig
@@ -125,7 +124,7 @@ class GeneratingModel:
 
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta_true, dtype=float).reshape(-1)
-        layout = ParamLayout(self.spec)
+        layout = self.spec.layout
         if beta.size != layout.size:
             raise ValueError(
                 f"beta_true has {beta.size} entries, layout needs {layout.size}"

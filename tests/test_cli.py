@@ -450,3 +450,104 @@ def test_option_validation(tmp_path):
     assert main(["profile", "--config", prof, "--out", str(tmp_path)]) == 2
     with pytest.raises(SystemExit):
         main([])
+
+
+def _with_penalty(penalty: dict) -> tuple[str, dict]:
+    return "fit", {"dataset": {"path": "t.dat", "format": "table"}, "model": {}, "penalty": penalty}
+
+
+_RIDGE_TERM = {"equation": 1, "lambda": 1.0}
+_ARC2_TERM = {"stream": 3, "order": 1, "lambda": 1.0}
+_PROFILE = {"dataset": {"path": "t.dat", "format": "table"}, "model": {}, "s_values": [1]}
+
+# (case, (command, config), exit code): the schema's per-family penalty,
+# profile-grid and long-format rules
+_CONFIG_RULES = [
+    ("ridge-no-terms", _with_penalty({"family": "ridge"}), 2),
+    ("ridge-empty-terms", _with_penalty({"family": "ridge", "terms": []}), 2),
+    ("ridge-term-no-equation", _with_penalty({"family": "ridge", "terms": [{"lambda": 1.0}]}), 2),
+    (
+        "ridge-term-with-stream",
+        _with_penalty({"family": "ridge", "terms": [{**_RIDGE_TERM, "stream": 3}]}),
+        2,
+    ),
+    (
+        "arc1-term-with-order",
+        _with_penalty({"family": "arc1", "terms": [{**_RIDGE_TERM, "order": 2}]}),
+        2,
+    ),
+    (
+        "arc2-term-no-order",
+        _with_penalty({"family": "arc2", "terms": [{"stream": 3, "lambda": 1.0}]}),
+        2,
+    ),
+    (
+        "arc2-term-with-equation",
+        _with_penalty({"family": "arc2", "terms": [{**_ARC2_TERM, "equation": 3}]}),
+        2,
+    ),
+    ("ordering-no-lambda2", _with_penalty({"family": "ordering", "lambda1": 1.0}), 2),
+    ("composite-no-parts", _with_penalty({"family": "composite"}), 2),
+    ("composite-empty-parts", _with_penalty({"family": "composite", "parts": []}), 2),
+    (
+        "composite-invalid-part",
+        _with_penalty({"family": "composite", "parts": [{"family": "ridge"}]}),
+        2,
+    ),
+    (
+        "lrtest-arc2-term-with-equation",
+        (
+            "lrtest",
+            {
+                "dataset": {"path": "t.dat", "format": "table"},
+                "full": {},
+                "reduced": {},
+                "full_penalty": {"family": "arc2", "terms": [_RIDGE_TERM]},
+            },
+        ),
+        2,
+    ),
+    ("profile-both-grids", ("profile", {**_PROFILE, "lambdas": [0.0], "log_lambdas": [0]}), 2),
+    ("profile-no-grid", ("profile", _PROFILE), 2),
+    ("long-no-pair", ("fit", {"dataset": {"path": "d.csv", "format": "long"}, "model": {}}), 2),
+    ("none-with-terms", _with_penalty({"family": "none", "terms": [_RIDGE_TERM]}), 0),
+    (
+        "ridge-stray-lambda1",
+        _with_penalty({"family": "ridge", "terms": [_RIDGE_TERM], "lambda1": 2.0}),
+        0,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "job, rc", [pytest.param(job, rc, id=case) for case, job, rc in _CONFIG_RULES]
+)
+def test_config_rules(tmp_path, capsys, job, rc):
+    command, config = job
+    (tmp_path / "t.dat").write_text("12 8 5\n7 14 9\n4 9 13\n")
+    (tmp_path / "d.csv").write_text("a1,a2,count\n1,1,3\n2,2,4\n")
+    cfg = write_json(tmp_path, "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == rc
+    if rc == 2:
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_singular_fit_reports_nan_p_values(tmp_path, capsys):
+    lines = ["a1,a2,x,count"]
+    for a1, a2, n in [(1, 1, 30), (1, 2, 20), (2, 1, 25), (2, 2, 25)]:
+        lines.append(f"{a1},{a2},1,{n}")  # x is constant, so it aliases the intercept
+    (tmp_path / "flat.csv").write_text("\n".join(lines) + "\n")
+    cfg = write_json(
+        tmp_path,
+        "flat.json",
+        {
+            "dataset": {"path": "flat.csv", "format": "long", "pair": [2, 2]},
+            "model": {"covariates": ["x"], "eq1": {"include": ["x"]}},
+        },
+    )
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "rank deficient" in capsys.readouterr().err
+    report = json.loads((tmp_path / "fit_report.json").read_text())
+    assert report["estimates"]
+    for entry in report["estimates"]:
+        assert (entry["se"], entry["z"], entry["p_value"]) == ("nan", "nan", "nan")

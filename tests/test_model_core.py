@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,14 @@ def test_layout_size_nunpom_vs_upom():
     assert ParamLayout(spec_33()).size == 16
     # uniform association with global effects: 2+1 + 2+1 + 1+1
     assert ParamLayout(spec_33(uniform=True, cat_dep=False)).size == 8
+    # the spec builds its layout once and caches it outside the fields
+    spec = spec_33()
+    assert spec.layout is spec.layout
+    assert spec.layout.size == 16
+    restored = pickle.loads(pickle.dumps(spec))
+    assert restored == spec and hash(restored) == hash(spec)
+    assert restored.layout.size == spec.layout.size
+    assert dataclasses.replace(spec, uniform_association=True).layout.size == 13
 
 
 def test_layout_blocks_cover_parameters_once():
