@@ -268,13 +268,19 @@ _SCHEMAS = {
 }
 
 
+def _reject_constant(name: str):
+    # json.load accepts the bare NaN, Infinity and -Infinity that JSON
+    # itself does not allow; no config value may be one of them
+    raise ConfigError(f"config is not valid JSON: bare {name} is not a number")
+
+
 def _load_config(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(p) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(config, dict):
@@ -911,7 +917,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker pool size")
+        p.add_argument("--threads", type=int, default=1, help="worker processes (outputs do not depend on it)")
         if name == "profile":
             p.add_argument(
                 "--log-base",

@@ -134,41 +134,52 @@ def plackett_inverse(mu_r, mu_c, psi):
     mu_r = np.asarray(mu_r, dtype=float)
     mu_c = np.asarray(mu_c, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    mu_r, mu_c, psi = np.broadcast_arrays(mu_r, mu_c, psi)
     if (psi <= 0).any():
         raise ValueError("odds ratio must be positive")
-
-    out = np.empty(psi.shape)
-    prod = mu_r * mu_c
-    s = mu_r + mu_c
+    psi, prod, s = np.broadcast_arrays(psi, mu_r * mu_c, mu_r + mu_c)
 
     near_one = np.abs(psi - 1.0) < 1e-8
-    out[near_one] = prod[near_one]
-
     hi = (psi >= 1.0) & ~near_one
-    if hi.any():
-        # scaled by 1/psi so a^2 never overflows for huge odds ratios
-        t = 1.0 / psi[hi]
-        a_t = t + s[hi] * (1.0 - t)
-        b_t = -4.0 * (1.0 - t) * prod[hi]
-        disc = _clamped_sqrt(a_t * a_t + b_t)
-        out[hi] = 2.0 * prod[hi] / (a_t + disc)
-
     lo = (psi < 1.0) & ~near_one
-    if lo.any():
-        a = 1.0 + s[lo] * (psi[lo] - 1.0)
-        b = -4.0 * psi[lo] * (psi[lo] - 1.0) * prod[lo]
-        disc = _clamped_sqrt(a * a + b)
-        val = np.where(
-            a > 0,
-            2.0 * psi[lo] * prod[lo] / (a + disc),  # conjugate, no cancellation
-            (a - disc) / (2.0 * (psi[lo] - 1.0)),
-        )
-        out[lo] = val
+    out = np.empty(psi.shape)
+    for part, form in ((near_one, _plackett_at_one), (hi, _plackett_above_one),
+                       (lo, _plackett_below_one)):
+        if part.all():  # one form covers everything: no masked copies
+            out = form(prod, s, psi)
+            break
+        if part.any():
+            out[part] = form(prod[part], s[part], psi[part])
 
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _plackett_at_one(prod, s, psi):
+    return prod.copy()
+
+
+def _plackett_above_one(prod, s, psi):
+    # scaled by 1/psi so a^2 never overflows for huge odds ratios
+    t = 1.0 / psi
+    a_t = t + s * (1.0 - t)
+    b_t = -4.0 * (1.0 - t) * prod
+    disc = _clamped_sqrt(a_t * a_t + b_t)
+    return 2.0 * prod / (a_t + disc)
+
+
+def _plackett_below_one(prod, s, psi):
+    a = 1.0 + s * (psi - 1.0)
+    b = -4.0 * psi * (psi - 1.0) * prod
+    disc = _clamped_sqrt(a * a + b)
+    # np.where evaluates both branches; the discarded conjugate form
+    # divides by a + disc = 0 when a < 0 and psi underflows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            a > 0,
+            2.0 * psi * prod / (a + disc),  # conjugate, no cancellation
+            (a - disc) / (2.0 * (psi - 1.0)),
+        )
 
 
 def _clamped_sqrt(x: np.ndarray) -> np.ndarray:
@@ -184,12 +195,12 @@ def _cells_unchecked(eta: np.ndarray, pair: OrdinalPair) -> np.ndarray:
     if eta.shape[1] != pair.n_eta:
         raise ValueError(f"predictor length {eta.shape[1]}, expected {pair.n_eta}")
 
-    finite = np.isfinite(eta)
-    safe = np.where(finite, eta, 0.0)
+    bad = ~np.isfinite(eta).all(axis=1)
+    safe = np.where(bad[:, None], 0.0, eta) if bad.any() else eta
     mu_r = expit(safe[:, 1 : 1 + pair.m1])
     mu_c = expit(safe[:, 1 + pair.m1 : 1 + pair.m1 + pair.m2])
     # cap so exp never overflows; beyond this the cells underflow anyway
-    log_psi = np.clip(safe[:, 1 + pair.m1 + pair.m2 :], -690.0, 690.0)
+    log_psi = np.minimum(np.maximum(safe[:, 1 + pair.m1 + pair.m2 :], -690.0), 690.0)
     psi = np.exp(log_psi).reshape(m, pair.m1, pair.m2)
 
     mu = np.zeros((m, pair.d1 + 1, pair.d2 + 1))
@@ -200,8 +211,9 @@ def _cells_unchecked(eta: np.ndarray, pair: OrdinalPair) -> np.ndarray:
     mu[:, -1, 1:-1] = mu_c
     mu[:, -1, -1] = 1.0
 
-    pi = np.diff(np.diff(mu, axis=1), axis=2)
-    pi[~finite.all(axis=1)] = np.nan
+    rows = mu[:, 1:] - mu[:, :-1]
+    pi = rows[:, :, 1:] - rows[:, :, :-1]
+    pi[bad] = np.nan
     return pi
 
 
@@ -249,10 +261,14 @@ def d_pi_d_eta(pi: np.ndarray, pair: OrdinalPair | None = None) -> np.ndarray:
 
 
 def d_pi_d_eta_batch(pi: np.ndarray, pair: OrdinalPair) -> np.ndarray:
-    """Stacked Jacobians for (m, n_cells) probability rows."""
+    """Stacked Jacobians for (..., n_cells) probability rows.
+
+    Any leading axes are kept; each row's Jacobian takes the same
+    arithmetic whatever the stack around it.
+    """
     cs = contrast_system(pair)
     mu = pi @ cs.L.T
-    A = (cs.C.T[None] / mu[:, None, :]) @ cs.L
+    A = (cs.C.T / mu[..., None, :]) @ cs.L
     return np.linalg.inv(A)
 
 

@@ -256,6 +256,21 @@ class ModelSpec:
         dataclasses.replace are unaffected."""
         return ParamLayout(self)
 
+    @cached_property
+    def affine_design(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-covariate design X0 and one slope S_j per covariate.
+
+        A profile's design matrix is affine in its covariates, X0 + sum_j
+        x_j S_j.  Every entry of S_j is 0 or 1 and each entry is reached
+        by at most one covariate, so the sum reproduces
+        ``build_design_matrix`` exactly.  Cached like ``layout``.
+        """
+        k = len(self.covariate_names)
+        X0 = build_design_matrix(self, np.zeros(k))
+        units = [build_design_matrix(self, unit) for unit in np.eye(k)]
+        S = np.array(units).reshape(k, *X0.shape) - X0
+        return _freeze(X0), _freeze(S)
+
 
 @dataclass(frozen=True)
 class Block:
@@ -366,4 +381,6 @@ def design_matrices(spec: ModelSpec, dataset: Dataset) -> np.ndarray:
         raise ValueError("dataset and spec disagree on category counts")
     if dataset.n_covariates != len(spec.covariate_names):
         raise ValueError("dataset and spec disagree on covariate count")
-    return np.stack([build_design_matrix(spec, g.covariates) for g in dataset.groups])
+    X0, S = spec.affine_design
+    x = dataset.covariate_matrix()
+    return X0 + (x @ S.reshape(len(S), X0.size)).reshape(len(x), *X0.shape)

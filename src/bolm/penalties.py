@@ -29,6 +29,7 @@ array([[-1.,  1.,  0.,  0.],
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -71,18 +72,16 @@ class PenaltyConfig:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown penalty family {self.family!r}")
-        for _, lam in self.lambdas:
-            if lam < 0:
-                raise ValueError("smoothing values must be nonnegative")
-        for _, (lam, order) in self.streams:
-            if lam < 0:
-                raise ValueError("smoothing values must be nonnegative")
+        # NaN fails every comparison, so the checks ask for 0 <= v < inf
+        smoothing = [lam for _, lam in self.lambdas]
+        smoothing += [lam for _, (lam, _) in self.streams]
+        if not all(0 <= lam < math.inf for lam in (*smoothing, self.lambda1, self.lambda2)):
+            raise ValueError("smoothing values must be finite and nonnegative")
+        for _, (_, order) in self.streams:
             if int(order) < 1:
                 raise ValueError("difference order must be >= 1")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("smoothing values must be nonnegative")
-        if self.margin < 0:
-            raise ValueError("ordering margin must be nonnegative")
+        if not 0 <= self.margin < math.inf:
+            raise ValueError("ordering margin must be finite and nonnegative")
 
     @classmethod
     def none(cls) -> "PenaltyConfig":
@@ -243,18 +242,20 @@ class PenaltyOperator:
             if lam > 0.0
         ]
 
-    def tau(self, beta: np.ndarray) -> float:
-        total = 0.0
+    def tau(self, beta: np.ndarray) -> float | np.ndarray:
+        """tau(beta); a stack of coefficient rows (..., p) gives one value
+        per row, computed as for that row alone."""
+        total = np.zeros(beta.shape[:-1])
         for sl, lam, K in self.terms:
-            w = K @ beta[sl]
-            total += lam * float(w @ w)
-        return total
+            w = (K @ beta[..., sl, None])[..., 0]
+            total = total + lam * np.vecdot(w, w)
+        return float(total) if beta.ndim == 1 else total
 
     def grad(self, beta: np.ndarray) -> np.ndarray:
-        """P beta, evaluated as sum lam K'(K beta)."""
-        out = np.zeros(self.size)
+        """P beta, evaluated as sum lam K'(K beta); row by row for (..., p)."""
+        out = np.zeros(beta.shape)
         for sl, lam, K in self.terms:
-            out[sl] += lam * (K.T @ (K @ beta[sl]))
+            out[..., sl] += lam * (K.T @ (K @ beta[..., sl, None]))[..., 0]
         return out
 
     def matrix(self) -> np.ndarray:

@@ -29,7 +29,6 @@ from .model_core import (
     Group,
     ModelSpec,
     OrdinalPair,
-    build_design_matrix,
 )
 from .penalties import PenaltyConfig
 
@@ -135,14 +134,12 @@ class GeneratingModel:
         if self.n < 1:
             raise ValueError("sample size must be positive")
         # predictors are affine in the covariates, so one intercept vector
-        # and one slope per covariate reproduce any design row
-        zero = np.zeros(self.law.n_covariates)
-        eta0 = build_design_matrix(self.spec, zero) @ beta
-        slopes = np.empty((self.law.n_covariates, eta0.size))
-        for j in range(self.law.n_covariates):
-            unit = zero.copy()
-            unit[j] = 1.0
-            slopes[j] = build_design_matrix(self.spec, unit) @ beta - eta0
+        # and one slope per covariate reproduce any design row.  A slope is
+        # the unit-covariate predictor minus eta0: S_j @ beta rounds
+        # differently, and the sampled datasets depend on these bits
+        X0, S = self.spec.affine_design
+        eta0 = X0 @ beta
+        slopes = (X0 + S) @ beta - eta0
         object.__setattr__(self, "_eta0", eta0)
         object.__setattr__(self, "_eta_slopes", slopes)
 

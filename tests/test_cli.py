@@ -461,7 +461,7 @@ _ARC2_TERM = {"stream": 3, "order": 1, "lambda": 1.0}
 _PROFILE = {"dataset": {"path": "t.dat", "format": "table"}, "model": {}, "s_values": [1]}
 
 # (case, (command, config), exit code): the schema's per-family penalty,
-# profile-grid and long-format rules
+# profile-grid and long-format rules, and no bare NaN or Infinity
 _CONFIG_RULES = [
     ("ridge-no-terms", _with_penalty({"family": "ridge"}), 2),
     ("ridge-empty-terms", _with_penalty({"family": "ridge", "terms": []}), 2),
@@ -510,6 +510,16 @@ _CONFIG_RULES = [
     ("profile-both-grids", ("profile", {**_PROFILE, "lambdas": [0.0], "log_lambdas": [0]}), 2),
     ("profile-no-grid", ("profile", _PROFILE), 2),
     ("long-no-pair", ("fit", {"dataset": {"path": "d.csv", "format": "long"}, "model": {}}), 2),
+    (
+        "ridge-lambda-nan",
+        _with_penalty({"family": "ridge", "terms": [{**_RIDGE_TERM, "lambda": float("nan")}]}),
+        2,
+    ),
+    (
+        "arc1-lambda-infinity",
+        _with_penalty({"family": "arc1", "terms": [{**_RIDGE_TERM, "lambda": float("inf")}]}),
+        2,
+    ),
     ("none-with-terms", _with_penalty({"family": "none", "terms": [_RIDGE_TERM]}), 0),
     (
         "ridge-stray-lambda1",

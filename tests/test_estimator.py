@@ -9,6 +9,7 @@ from bolm.estimator import (
     default_start,
     deviance_g2,
     fit,
+    fit_batch,
     penalized_fisher,
     penalized_score,
     unpenalized_fisher,
@@ -25,9 +26,15 @@ from bolm.model_core import (
     build_design_matrix,
 )
 from bolm.penalties import PenaltyConfig, build_penalty_matrix
+from bolm.inference import (
+    _null_penalty,
+    default_null_calibration_truth,
+    with_global_effect,
+)
 from bolm.simulation import (
     default_loss_benchmark_truth,
     sample_dataset,
+    smoothing_config,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -284,3 +291,77 @@ def test_deviance_matches_direct_formula():
     expected = y.sum() * res.fitted_probs.reshape(-1)
     direct = 2.0 * float(np.sum(y[y > 0] * np.log(y[y > 0] / expected[y > 0])))
     assert deviance_g2(res) == pytest.approx(direct, rel=1e-12)
+
+
+_FIT_FIELDS = (
+    "beta_hat", "loglik", "penalty_value", "cov", "edf", "iterations",
+    "converged", "failure_reason", "fitted_probs", "lp_trace",
+)
+
+
+def assert_batch_equals_solo(datasets, spec, penalty=None):
+    batch = fit_batch(datasets, spec, penalty)
+    assert len(batch) == len(datasets)
+    for dataset, got in zip(datasets, batch):
+        alone = fit(dataset, spec, penalty)
+        assert got.dataset is dataset
+        for name in _FIT_FIELDS:
+            a, b = getattr(got, name), getattr(alone, name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b, equal_nan=True), name
+            elif isinstance(a, float) and np.isnan(a):
+                assert np.isnan(b), name
+            else:
+                assert a == b, name
+    return batch
+
+
+def test_fit_batch_matches_solo_fits_on_null_replicates():
+    truth = default_null_calibration_truth()
+    reduced = with_global_effect(truth.spec, 3, "x")
+    datasets = [sample_dataset(truth, seed=20260816, stream=r) for r in range(12)]
+    for lam in (0.0, 1.0, 50.0):
+        for spec in (truth.spec, reduced):
+            batch = assert_batch_equals_solo(datasets, spec, _null_penalty(lam, spec))
+            assert all(res.converged for res in batch)
+            # lockstep: replicates stop after different iteration counts
+            assert len({res.iterations for res in batch}) > 1
+
+
+def test_fit_batch_matches_solo_fits_through_failures_and_ordering():
+    truth = default_loss_benchmark_truth(n=400)
+    datasets = [sample_dataset(truth, seed=20260816, stream=r) for r in (0, 22)]
+    stalled, converged = assert_batch_equals_solo(datasets, truth.spec)
+    assert stalled.failure_reason.startswith("no acceptable step")
+    assert stalled.iterations == 81
+    assert converged.converged and converged.iterations == 17
+    assert_batch_equals_solo(datasets, truth.spec, smoothing_config(truth.spec, 1.0))
+
+
+def test_fit_batch_splits_mixed_group_counts():
+    loss = default_loss_benchmark_truth(n=400)
+    null = default_null_calibration_truth()
+    wide = [sample_dataset(loss, seed=3, stream=r) for r in range(2)]
+    narrow = [sample_dataset(null, seed=3, stream=r) for r in range(2)]
+    assert {d.n_groups for d in wide} != {d.n_groups for d in narrow}
+    assert_batch_equals_solo([narrow[0], wide[0], narrow[1], wide[1]], loss.spec)
+
+
+def test_fit_batch_isolates_a_rank_deficient_replicate():
+    # z is constant in one dataset, where it aliases the eq1 intercepts
+    pair = OrdinalPair(3, 3)
+    empty = EquationTerms()
+    spec = ModelSpec(pair, ("x", "z"), EquationTerms(("x", "z")), empty, empty)
+    rng = np.random.default_rng(5)
+
+    def dataset(rows):
+        groups = (Group(np.array(r, float), rng.integers(5, 30, (3, 3))) for r in rows)
+        return Dataset(pair, tuple(groups))
+
+    full_rank = [(0, 0), (1, 0), (0, 1)]
+    datasets = [dataset(full_rank), dataset(full_rank), dataset([(0, 1), (1, 1), (2, 1)]),
+                dataset(full_rank)]
+    batch = assert_batch_equals_solo(datasets, spec)
+    assert "rank deficient" in batch[2].failure_reason
+    assert batch[2].fisher_scoring_failed and np.isnan(batch[2].cov).all()
+    assert all(batch[r].converged for r in (0, 1, 3))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bolm import inference
 from bolm.estimator import fit, unpenalized_fisher
 from bolm.inference import (
     HEAVY_LAMBDA,
@@ -273,6 +274,22 @@ def test_simulate_lrp_null_deterministic_and_damped():
     stats50 = sim.summaries[1].statistics
     assert np.mean(stats50) < np.mean(stats0)
     assert (stats50 >= -1e-8).all() and (stats0 >= -1e-8).all()
+
+
+def test_simulate_lrp_null_does_not_depend_on_chunk_size(monkeypatch):
+    # chunks of 1 fit every replicate alone; 7 leaves a ragged last chunk
+    runs = []
+    for chunk in (1, 7, inference.NULL_CHUNK):
+        monkeypatch.setattr(inference, "NULL_CHUNK", chunk)
+        runs.append(simulate_lrp_null(replicates=12, lambdas=(0.0, 1.0, 50.0), seed=2026))
+    first = runs[0]
+    for other in runs[1:]:
+        assert other.rows() == first.rows()
+        for a, b in zip(first.summaries, other.summaries):
+            assert (a.lam, a.n_failed) == (b.lam, b.n_failed)
+            for name in ("statistics", "rejection_rate", "ks_distance", "mixture_weights",
+                         "mixture_shifts", "rejection_rate_mixture"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_simulate_lrp_null_rejects_noncalibration_truth():

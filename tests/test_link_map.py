@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,3 +152,48 @@ def test_empirical_log_gors_quadrants_and_infinities():
     counts = np.array([[4, 6], [8, 12]])
     expected = math.log((4 * 12) / (6 * 8))
     assert math.isclose(empirical_log_gors(counts)[0, 0], expected)
+
+
+def _extreme_rows(pair: OrdinalPair) -> np.ndarray:
+    """Predictors at the edges of the link map on a 3x3 table.
+
+    Every association entry takes one log odds ratio from +/-30 to
+    +/-1000; both margins sit at logit 0, 5, 20, 35 or 40 (either sign)
+    with cuts that are ordered, tied or disordered, on one margin at a
+    time.
+    """
+    log_psis = [0.0] + [s * v for v in (30.0, 300.0, 690.0, 700.0, 1000.0) for s in (1, -1)]
+    centres = [0.0] + [s * v for v in (5.0, 20.0, 35.0, 40.0) for s in (1, -1)]
+    cuts = {"ordered": (-0.5, 0.5), "tied": (0.0, 0.0), "disordered": (0.5, -0.5)}
+    patterns = [("ordered", "ordered"), ("tied", "ordered"), ("disordered", "ordered"),
+                ("ordered", "tied"), ("ordered", "disordered")]
+    rows = []
+    for log_psi in log_psis:
+        for centre in centres:
+            for first, second in patterns:
+                eta = np.zeros(pair.n_eta)
+                eta[1:3] = centre + np.array(cuts[first])
+                eta[3:5] = centre + np.array(cuts[second])
+                eta[5:] = log_psi
+                rows.append(eta)
+    return np.array(rows)
+
+
+def test_link_map_extremes_raise_or_sum_to_one_without_warnings():
+    pair = OrdinalPair(3, 3)
+    rows = _extreme_rows(pair)
+    assert rows.shape == (495, pair.n_eta)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mask = compatible_eta_mask(rows, pair)
+        for eta, compatible in zip(rows, mask):
+            try:
+                pi = eta_to_pi_batch(eta[None, :], pair)
+            except IncompatibleEta:
+                assert not compatible
+                continue
+            assert compatible
+            assert abs(pi.sum() - 1.0) <= 1e-12
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # the probe reaches both outcomes
+    assert mask.any() and not mask.all()

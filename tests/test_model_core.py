@@ -13,6 +13,7 @@ from bolm.model_core import (
     OrdinalPair,
     ParamLayout,
     build_design_matrix,
+    design_matrices,
     flatten_index,
 )
 
@@ -134,6 +135,24 @@ def test_uniform_association_broadcasts_single_intercept():
     X = build_design_matrix(spec, np.array([0.0]))
     col = layout.block(3, INTERCEPT).start
     np.testing.assert_allclose(X[5:, col], np.ones(4))
+
+
+def test_design_matrices_equal_the_per_group_build():
+    rng = np.random.default_rng(4)
+    pair = OrdinalPair(3, 4)
+    mixed = ModelSpec(
+        pair, ("x", "z"),
+        EquationTerms(("x", "z"), ("x",)), EquationTerms(("z",)), EquationTerms(("x", "z"), ("z",)),
+    )
+    plain = ModelSpec(pair, (), EquationTerms(), EquationTerms(), EquationTerms())
+    for spec in (spec_33(), spec_33(uniform=True, cat_dep=False), mixed, plain):
+        k = len(spec.covariate_names)
+        groups = [Group(rng.normal(scale=3.0, size=k) if k else np.array([]),
+                        rng.integers(1, 9, (spec.pair.d1, spec.pair.d2)))
+                  for _ in range(6 if k else 1)]
+        dataset = Dataset(spec.pair, tuple(groups))
+        per_group = np.stack([build_design_matrix(spec, g.covariates) for g in groups])
+        assert np.array_equal(design_matrices(spec, dataset), per_group)
 
 
 def test_spec_rejects_unknown_and_inconsistent_terms():

@@ -181,6 +181,24 @@ def test_is_null_tracks_family_not_values():
     assert PenaltyConfig.composite(PenaltyConfig.none()).is_null
 
 
+def test_penalty_config_rejects_non_finite_values():
+    nan, inf = float("nan"), float("inf")
+    bad = [
+        lambda: PenaltyConfig.ridge({(3, INTERCEPT): nan}),
+        lambda: PenaltyConfig.arc1({(3, INTERCEPT): inf}),
+        lambda: PenaltyConfig.arc1({(3, INTERCEPT): -1.0}),
+        lambda: PenaltyConfig.arc2({(3, INTERCEPT): nan}, {(3, INTERCEPT): 1}),
+        lambda: PenaltyConfig.ordering(nan, 1.0),
+        lambda: PenaltyConfig.ordering(1.0, inf),
+        lambda: PenaltyConfig.ordering(1.0, 1.0, margin=nan),
+        lambda: PenaltyConfig.ordering(1.0, 1.0, margin=inf),
+    ]
+    for make in bad:
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            make()
+    assert PenaltyConfig.arc1({(3, INTERCEPT): 1e300}).lambdas[0][1] == 1e300
+
+
 def test_build_penalty_matrix_rejects_ordering_family():
     spec = intercept_spec(3, 3)
     with pytest.raises(ValueError, match="ordering"):
