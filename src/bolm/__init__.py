@@ -10,11 +10,9 @@ category-dependent coefficient profiles.
 from .estimator import (
     FitOptions,
     FitResult,
-    SingularFisher,
     deviance_g2,
     fit,
     fit_batch,
-    penalized_fisher,
     unpenalized_fisher,
 )
 from .inference import (
@@ -95,7 +93,6 @@ __all__ = [
     "OrdinalPair",
     "ParamLayout",
     "PenaltyConfig",
-    "SingularFisher",
     "TableRow",
     "build_design_matrix",
     "build_penalty_matrix",
@@ -117,7 +114,6 @@ __all__ = [
     "gray_weights_from_information",
     "is_nested",
     "lrp_statistic",
-    "penalized_fisher",
     "penalty_value",
     "pi_to_eta",
     "ppom_chi2_test",

@@ -29,7 +29,6 @@ from scipy import stats
 from .estimator import (
     FitOptions,
     FitResult,
-    SingularFisher,
     fit,
 )
 from .inference import (
@@ -331,17 +330,10 @@ def _read_table_file(path: Path) -> np.ndarray:
     for i, r in enumerate(rows, 1):
         if len(r) != width:
             raise ConfigError(f"{path}: row {i} has {len(r)} entries, expected {width}")
-    arr = np.array(rows)
-    if not np.all(arr == np.floor(arr)):
-        raise ConfigError(f"{path}: counts must be integers")
-    if (arr < 0).any():
-        raise ConfigError(f"{path}: counts must be nonnegative")
-    return arr.astype(np.int64)
+    return np.array(rows)
 
 
-def _read_long_file(
-    path: Path, pair: OrdinalPair
-) -> tuple[list[str], list[tuple[tuple, np.ndarray]]]:
+def _read_long_file(path: Path, pair: OrdinalPair) -> tuple[list[str], Dataset]:
     """CSV with header a1,a2,<covariate...>[,count]; one observation row
     per line (weighted by count when present).  Rows sharing a covariate
     profile are merged into one group, ordered by first appearance."""
@@ -354,8 +346,7 @@ def _read_long_file(
         raise ConfigError(f"{path}: header must start with a1,a2")
     has_count = len(header) > 2 and header[-1] == "count"
     cov_names = header[2:-1] if has_count else header[2:]
-    tables: dict[tuple, np.ndarray] = {}
-    order: list[tuple] = []
+    profiles: list[tuple[list[float], np.ndarray]] = []
     for ln, row in enumerate(raw[1:], 2):
         if len(row) != len(header):
             raise ConfigError(
@@ -371,25 +362,22 @@ def _read_long_file(
                 f"{path}:{ln}: labels ({a1}, {a2}) outside "
                 f"1..{pair.d1} x 1..{pair.d2}"
             )
+        count = 1.0
         if has_count:
             try:
-                count_f = float(row[-1])
+                count = float(row[-1])
             except ValueError:
                 raise ConfigError(f"{path}:{ln}: non-numeric count")
-            if count_f != math.floor(count_f) or count_f < 0:
+            if not (count.is_integer() and count >= 0):
                 raise ConfigError(f"{path}:{ln}: counts must be nonnegative integers")
-            count = int(count_f)
-        else:
-            count = 1
         try:
-            covs = tuple(float(c) for c in row[2 : 2 + len(cov_names)])
+            covs = [float(c) for c in row[2 : 2 + len(cov_names)]]
         except ValueError:
             raise ConfigError(f"{path}:{ln}: non-numeric covariate")
-        if covs not in tables:
-            tables[covs] = np.zeros((pair.d1, pair.d2), dtype=np.int64)
-            order.append(covs)
-        tables[covs][a1 - 1, a2 - 1] += count
-    return cov_names, [(covs, tables[covs]) for covs in order]
+        table = np.zeros((pair.d1, pair.d2))
+        table[a1 - 1, a2 - 1] = count
+        profiles.append((covs, table))
+    return cov_names, Dataset.merged(pair, profiles)
 
 
 def _build_dataset(dscfg: dict, base_dir: Path) -> tuple[Dataset, list[str], dict]:
@@ -402,44 +390,39 @@ def _build_dataset(dscfg: dict, base_dir: Path) -> tuple[Dataset, list[str], dic
     fmt = dscfg["format"]
     center = bool(dscfg.get("center", False))
     declared = dscfg.get("pair")
-    if fmt == "table":
-        counts = _read_table_file(path)
-        pair = OrdinalPair(counts.shape[0], counts.shape[1])
-        if declared is not None and tuple(declared) != (pair.d1, pair.d2):
-            raise ConfigError(
-                f"declared pair {tuple(declared)} does not match "
-                f"table shape {counts.shape}"
-            )
-        cov_names: list[str] = []
-        profiles = [((), counts)]
-    else:
-        pair = OrdinalPair(int(declared[0]), int(declared[1]))
-        cov_names, profiles = _read_long_file(path, pair)
-
     means = None
-    if center:
-        if not cov_names:
-            raise ConfigError("centering needs covariates")
-        totals = np.array([float(t.sum()) for _, t in profiles])
-        covs = np.array([list(c) for c, _ in profiles])
-        means = (totals[:, None] * covs).sum(axis=0) / totals.sum()
-        profiles = [
-            (tuple(np.asarray(c) - means), t) for c, t in profiles
-        ]
-
     try:
-        groups = tuple(
-            Group(np.array(c, dtype=float), t) for c, t in profiles
-        )
-        dataset = Dataset(pair, groups)
+        if fmt == "table":
+            counts = _read_table_file(path)
+            pair = OrdinalPair(counts.shape[0], counts.shape[1])
+            if declared is not None and tuple(declared) != (pair.d1, pair.d2):
+                raise ConfigError(
+                    f"declared pair {tuple(declared)} does not match "
+                    f"table shape {counts.shape}"
+                )
+            cov_names: list[str] = []
+            dataset = Dataset.merged(pair, [((), counts)])
+        else:
+            pair = OrdinalPair(int(declared[0]), int(declared[1]))
+            cov_names, dataset = _read_long_file(path, pair)
+        if center:
+            if not cov_names:
+                raise ConfigError("centering needs covariates")
+            totals = dataset.count_matrix().sum(axis=1)
+            covs = dataset.covariate_matrix()
+            means = (totals[:, None] * covs).sum(axis=0) / totals.sum()
+            dataset = Dataset(
+                pair,
+                tuple(Group(g.covariates - means, g.counts) for g in dataset.groups),
+            )
     except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(f"{path}: {exc}")
     record = {
         "path": str(path),
         "format": fmt,
         "pair": [pair.d1, pair.d2],
         "n_groups": dataset.n_groups,
-        "total_count": int(sum(g.total for g in groups)),
+        "total_count": dataset.n_total,
         "centered": center,
         "covariate_means": None if means is None else [float(m) for m in means],
     }
@@ -519,6 +502,14 @@ def _parse_fit_options(cfg: dict) -> FitOptions:
 # ---------------------------------------------------------------------------
 # output helpers
 
+def _finite_or_word(x) -> float | str:
+    """x as a float, or as the word nan, inf or -inf when not finite."""
+    f = float(x)
+    if math.isfinite(f):
+        return f
+    return "nan" if math.isnan(f) else "inf" if f > 0 else "-inf"
+
+
 def _fmt(x) -> str:
     """Full-precision CSV field; inf and nan as bare words, None empty."""
     if x is None:
@@ -529,12 +520,8 @@ def _fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    f = float(x)
-    if math.isnan(f):
-        return "nan"
-    if math.isinf(f):
-        return "inf" if f > 0 else "-inf"
-    return repr(f)
+    f = _finite_or_word(x)
+    return f if isinstance(f, str) else repr(f)
 
 
 def _jsonable(obj):
@@ -549,12 +536,7 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
+        return _finite_or_word(obj)
     return obj
 
 
@@ -663,7 +645,7 @@ def _profile_curve(dataset, spec, s: int, lambdas, options):
         opts = dataclasses.replace(options, start=start)
         try:
             res = fit(dataset, spec, _profile_penalty(lam, s), opts)
-        except (SingularFisher, IncompatibleEta, FloatingPointError):
+        except (IncompatibleEta, FloatingPointError):
             rows.append((s, lam, float("nan"), float("nan"), "failed"))
             continue
         if res.fisher_scoring_failed:
@@ -957,10 +939,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IncompatibleEta as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (SingularFisher, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (IncompatibleEta, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

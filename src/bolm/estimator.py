@@ -42,10 +42,6 @@ from .penalties import OrderingState, PenaltyConfig, PenaltyOperator, ordering_s
 _NOISE_SAFETY = 32.0
 
 
-class SingularFisher(RuntimeError):
-    """Penalized Fisher matrix is numerically rank deficient."""
-
-
 @dataclass(frozen=True)
 class FitOptions:
     max_iter: int = 200
@@ -171,8 +167,8 @@ def _solve_spd(
     wrappers, which scipy's batched form calls once per matrix too, took
     about 20 us a matrix at p = 16 against 6 us for the two calls (one
     BLAS thread, 2-vCPU host).
-    A numerically singular H[r] leaves NaN in its solution and the
-    SingularFisher text in ``failures[r]``; the others are unaffected.
+    A numerically singular H[r] leaves NaN in its solution and a
+    rank-deficiency text in ``failures[r]``; the others are unaffected.
     """
     x = np.full(rhs.shape, np.nan)
     failures: dict[int, str] = {}
@@ -555,12 +551,6 @@ def penalized_score(
     pi, _ = arrays.probs(np.asarray(beta, dtype=float))
     score, _ = arrays.derivatives(pi)
     return score - P @ np.asarray(beta, dtype=float)
-
-
-def penalized_fisher(
-    beta: np.ndarray, dataset: Dataset, spec: ModelSpec, P: np.ndarray
-) -> np.ndarray:
-    return unpenalized_fisher(beta, dataset, spec) + P
 
 
 def unpenalized_fisher(

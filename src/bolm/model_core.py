@@ -73,12 +73,42 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def group_profiles(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of an (n, k) covariate array by profile.
+
+    Rows are one profile when they are equal by value, so 0.0 and -0.0
+    agree.  Returns ``first``, the index of each profile's first row, and
+    ``inverse``, the profile of each row; profiles are numbered in the
+    order they are first seen.
+    """
+    _, first, inverse = np.unique(
+        rows, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
+
+
+def _checked_counts(counts: np.ndarray) -> np.ndarray:
+    """Counts as int64, once they are nonnegative integers that fit."""
+    cnt = np.asarray(counts)
+    if not np.issubdtype(cnt.dtype, np.integer):
+        cnt = cnt.astype(float)
+        if not (np.abs(cnt) < 2.0**63).all():  # NaN fails the test too
+            raise ValueError("counts must be finite and below 2**63")
+        if not np.all(cnt == np.floor(cnt)):
+            raise ValueError("counts must be integers")
+    if (cnt < 0).any():
+        raise ValueError("counts must be nonnegative")
+    return cnt.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Group:
     """Observations sharing one covariate profile.
 
     counts is the full d1 x d2 contingency table for the profile; zero
-    cells are allowed but the group total must be positive.
+    cells are allowed but the group total must be positive.  Covariates
+    must be finite.
     """
 
     covariates: np.ndarray
@@ -86,19 +116,13 @@ class Group:
 
     def __post_init__(self) -> None:
         cov = np.asarray(self.covariates, dtype=float).reshape(-1)
-        cnt = np.asarray(self.counts)
-        if cnt.ndim != 2:
+        if np.ndim(self.counts) != 2:
             raise ValueError("counts must be a 2-d table")
-        if not np.issubdtype(cnt.dtype, np.integer):
-            if not np.all(cnt == np.floor(cnt)):
-                raise ValueError("counts must be integers")
-            cnt = cnt.astype(np.int64)
-        else:
-            cnt = cnt.astype(np.int64)
-        if (cnt < 0).any():
-            raise ValueError("counts must be nonnegative")
+        cnt = _checked_counts(self.counts)
         if cnt.sum() < 1:
             raise ValueError("each group needs a positive total count")
+        if not np.isfinite(cov).all():
+            raise ValueError("covariates must be finite")
         object.__setattr__(self, "covariates", _freeze(cov))
         object.__setattr__(self, "counts", _freeze(cnt))
 
@@ -119,7 +143,6 @@ class Dataset:
         if not groups:
             raise ValueError("dataset needs at least one group")
         p = groups[0].covariates.size
-        seen = set()
         for g in groups:
             if g.counts.shape != (self.pair.d1, self.pair.d2):
                 raise ValueError(
@@ -128,12 +151,11 @@ class Dataset:
                 )
             if g.covariates.size != p:
                 raise ValueError("covariate vectors must share one length")
-            key = g.covariates.tobytes()
-            if key in seen:
-                raise ValueError(
-                    "duplicate covariate profile; merge groups on ingestion"
-                )
-            seen.add(key)
+        first, _ = group_profiles(np.array([g.covariates for g in groups]))
+        if first.size != len(groups):
+            raise ValueError(
+                "duplicate covariate profile; merge groups on ingestion"
+            )
         object.__setattr__(self, "groups", groups)
 
     @classmethod
@@ -142,19 +164,20 @@ class Dataset:
         pair: OrdinalPair,
         profiles: list[tuple[np.ndarray, np.ndarray]],
     ) -> "Dataset":
-        """Build a dataset, summing count tables of identical profiles."""
-        order: list[bytes] = []
-        covs: dict[bytes, np.ndarray] = {}
-        totals: dict[bytes, np.ndarray] = {}
-        for cov, cnt in profiles:
-            cov = np.asarray(cov, dtype=float).reshape(-1)
-            key = cov.tobytes()
-            if key not in totals:
-                order.append(key)
-                covs[key] = cov
-                totals[key] = np.zeros((pair.d1, pair.d2), dtype=np.int64)
-            totals[key] += np.asarray(cnt, dtype=np.int64)
-        return cls(pair, tuple(Group(covs[k], totals[k]) for k in order))
+        """Build a dataset, summing count tables of identical profiles.
+
+        Groups keep the order in which their profiles first appear.  Each
+        table is checked before the sum, so that 0.5 + 0.5 or -1 + 2
+        cannot pass as a count.
+        """
+        if not profiles:
+            return cls(pair, ())
+        covs = np.array([np.ravel(c) for c, _ in profiles], dtype=float)
+        tables = _checked_counts(np.stack([t for _, t in profiles]))
+        first, inverse = group_profiles(covs)
+        sums = np.zeros((first.size,) + tables.shape[1:], dtype=np.int64)
+        np.add.at(sums, inverse, tables)
+        return cls(pair, tuple(Group(covs[i], t) for i, t in zip(first, sums)))
 
     @property
     def n_groups(self) -> int:

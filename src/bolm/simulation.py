@@ -29,6 +29,7 @@ from .model_core import (
     Group,
     ModelSpec,
     OrdinalPair,
+    group_profiles,
 )
 from .penalties import PenaltyConfig
 
@@ -219,20 +220,14 @@ def sample_dataset(gm: GeneratingModel, seed: int, stream: int = 0) -> Dataset:
     """Draw covariates and n multinomial responses, grouped by profile."""
     rng = _stream_rng(seed, stream)
     rows = gm.draw_covariates(gm.n, rng)
-    order: list[bytes] = []
-    members: dict[bytes, list[int]] = {}
-    for i, row in enumerate(rows):
-        key = row.tobytes()
-        if key not in members:
-            order.append(key)
-            members[key] = []
-        members[key].append(i)
+    first, inverse = group_profiles(rows)
+    sizes = np.bincount(inverse, minlength=first.size)
     pair = gm.spec.pair
-    unique_rows = np.stack([rows[members[key][0]] for key in order])
+    unique_rows = rows[first]
     probs = gm.probs_for(unique_rows)
     groups = []
-    for g, key in enumerate(order):
-        counts = _multinomial_counts(rng, len(members[key]), probs[g])
+    for g in range(first.size):
+        counts = _multinomial_counts(rng, sizes[g], probs[g])
         groups.append(Group(unique_rows[g], counts.reshape(pair.d1, pair.d2)))
     return Dataset(pair, tuple(groups))
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -95,7 +96,7 @@ def test_unknown_config_keys_rejected(tmp_path, capsys):
     assert main(["fit", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)]) == 2
 
 
-def test_table_ingestion_errors(tmp_path):
+def test_table_ingestion_errors(tmp_path, capsys):
     def fit_rc(text: str, extra: dict | None = None) -> int:
         data = tmp_path / "t.dat"
         data.write_text(text)
@@ -113,9 +114,17 @@ def test_table_ingestion_errors(tmp_path):
     assert fit_rc("1.5 2\n3 4\n") == 2
     assert fit_rc("-1 2\n3 4\n") == 2
     assert fit_rc("1 2\n3 4\n", {"pair": [3, 3]}) == 2
+    assert fit_rc("1 2 3\n") == 2  # one row is not a pair of ordinal responses
+    capsys.readouterr()
+    for text in ("inf 2\n3 4\n", "nan 2\n3 4\n", "1e20 2\n3 4\n"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit_rc(text) == 2
+        err = capsys.readouterr().err
+        assert "counts must be finite" in err and "t.dat" in err
 
 
-def test_long_ingestion_merging_and_centering(tmp_path):
+def test_long_ingestion_merging_and_centering(tmp_path, capsys):
     lines = ["a1,a2,x,count"]
     for a1, a2, n in [(1, 1, 30), (1, 2, 20), (2, 1, 25), (2, 2, 25)]:
         lines.append(f"{a1},{a2},0,{n}")
@@ -185,6 +194,30 @@ def test_long_ingestion_merging_and_centering(tmp_path):
         },
     )
     assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    capsys.readouterr()
+    for i, (row, message) in enumerate(
+        [
+            ("1,1,0,nan", "counts must be nonnegative integers"),
+            ("1,1,0,inf", "counts must be nonnegative integers"),
+            ("1,1,nan,5", "covariates must be finite"),
+            ("1,1,inf,5", "covariates must be finite"),
+        ]
+    ):
+        (tmp_path / f"nonfinite{i}.csv").write_text(f"a1,a2,x,count\n1,2,0,5\n{row}\n")
+        cfg = write_json(
+            tmp_path,
+            f"nonfinite{i}.json",
+            {
+                "dataset": {"path": f"nonfinite{i}.csv", "format": "long", "pair": [2, 2]},
+                "model": {"covariates": ["x"]},
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and f"nonfinite{i}.csv" in err
 
 
 def test_profile_zero_lambda_identity_across_orders(tmp_path):

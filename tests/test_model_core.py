@@ -69,6 +69,12 @@ def test_dataset_rejects_duplicate_profiles_and_shape_mismatch():
         Dataset(pair, (Group(np.array([1.0]), table), Group(np.array([1.0]), table)))
     with pytest.raises(ValueError):
         Dataset(pair, (Group(np.array([1.0]), np.array([[1, 2, 3], [4, 5, 6]])),))
+    # profiles are equal by value: 0.0 and -0.0 are one profile
+    with pytest.raises(ValueError, match="duplicate"):
+        Dataset(pair, (Group(np.array([0.0]), table), Group(np.array([-0.0]), table)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            Dataset(pair, (Group(np.array([bad]), table),))
 
 
 def test_layout_size_nunpom_vs_upom():
@@ -182,3 +188,38 @@ def test_merged_accumulates_counts_by_profile():
     )
     assert ds.n_groups == 2
     np.testing.assert_array_equal(ds.groups[0].counts, [[1, 2], [3, 1]])
+    # -0.0 joins the 0.0 profile, which keeps its first-seen covariates
+    ds = Dataset.merged(
+        pair,
+        [
+            (np.array([0.0]), np.array([[1, 0], [0, 1]])),
+            (np.array([1.0]), np.array([[1, 1], [1, 1]])),
+            (np.array([-0.0]), np.array([[0, 2], [3, 0]])),
+        ],
+    )
+    assert ds.n_groups == 2
+    assert not np.signbit(ds.groups[0].covariates[0])
+    np.testing.assert_array_equal(ds.groups[0].counts, [[1, 2], [3, 1]])
+    # tables without covariates are one profile
+    ds = Dataset.merged(pair, [((), np.eye(2)), ((), np.ones((2, 2)))])
+    assert ds.n_groups == 1
+    np.testing.assert_array_equal(ds.groups[0].counts, [[2, 1], [1, 2]])
+    # non-integer, negative or non-finite tables are refused, not truncated,
+    # also where the sum would be a valid count
+    for bad in (
+        [[1.5, 0.0], [0.0, 1.0]],
+        [[-0.5, 1.0], [0.0, 1.0]],
+        [[np.inf, 1.0], [0.0, 1.0]],
+        [[np.nan, 1.0], [0.0, 1.0]],
+    ):
+        with pytest.raises(ValueError):
+            Dataset.merged(pair, [(np.array([1.0]), np.array(bad))])
+    with pytest.raises(ValueError):
+        Dataset.merged(
+            pair,
+            [
+                (np.array([1.0]), np.array([[0.5, 0.0], [0.0, 1.0]])),
+                (np.array([1.0]), np.array([[0.5, 0.0], [0.0, 1.0]])),
+            ],
+        )
+

@@ -7,6 +7,7 @@ from bolm.inference import default_null_calibration_truth
 from bolm.link_map import IncompatibleEta
 from bolm.model_core import INTERCEPT, EquationTerms, ModelSpec, OrdinalPair
 from bolm.simulation import (
+    _stream_rng,
     CovariateLaw,
     GeneratingModel,
     default_loss_benchmark_truth,
@@ -85,6 +86,28 @@ def test_sample_dataset_reproducible_per_stream():
         not np.array_equal(ga.counts, gc.counts)
         for ga, gc in zip(a.groups, c.groups)
     )
+
+
+@pytest.mark.parametrize(
+    "truth",
+    [default_null_calibration_truth(n=400), default_loss_benchmark_truth(n=400)],
+    ids=["null", "loss"],
+)
+def test_sample_dataset_groups_rows_by_first_sight(truth):
+    seed = 20260816
+    for stream in (0, 1, 7):
+        dataset = sample_dataset(truth, seed, stream)
+        rows = truth.draw_covariates(truth.n, _stream_rng(seed, stream))
+        first_rows: dict[tuple, np.ndarray] = {}
+        sizes: dict[tuple, int] = {}
+        for row in rows:
+            key = tuple(row)
+            first_rows.setdefault(key, row)
+            sizes[key] = sizes.get(key, 0) + 1
+        np.testing.assert_array_equal(
+            dataset.covariate_matrix(), np.array(list(first_rows.values()))
+        )
+        assert [g.total for g in dataset.groups] == list(sizes.values())
 
 
 def test_true_probs_are_distributions():
