@@ -10,14 +10,22 @@ where mu_rc is the joint cumulative probability P(A1 <= r, A2 <= c).
 Both directions are smooth; the inverse solves a quadratic per cut point
 (Plackett) and recovers cells by double differencing the cumulative grid.
 
-The same map in matrix form is eta = C' log(L pi) for 0/1 matrices L
-(cumulative sums) and a contrast matrix C.  ContrastSystem builds both;
-the Jacobian d pi / d eta is the inverse of C' diag(L pi)^-1 L.
+The Jacobian d pi / d eta follows that inverse by the chain rule (Dale
+1986): d mu_r / d eta_r = mu_r (1 - mu_r) for the expit margins; the
+implicit derivative of the Plackett equation gives, with q1..q4 the
+quadrant probabilities at (r, c) (both low, A1 low, A2 low, both high)
+and S = sum_k 1/q_k,
+
+    d mu_rc / d log psi_rc = 1/S
+    d mu_rc / d mu_r       = (1/q2 + 1/q4) / S
+    d mu_rc / d mu_c       = (1/q3 + 1/q4) / S
+
+and double differencing carries the grid derivatives to the cells.  The
+null contrast eta_0 = log sum(pi) scales every cell, so its column is pi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,67 +39,6 @@ class IncompatibleEta(ValueError):
 
     Recoverable: the estimator treats it as a rejected trial step.
     """
-
-
-@dataclass(frozen=True)
-class ContrastSystem:
-    """Matrices L and C with eta = C' log(L pi).
-
-    Row order of L: the all-ones row, then (mu_r, 1-mu_r) pairs for each
-    A1 cut, (mu_c, 1-mu_c) pairs for each A2 cut, then quadrant quadruples
-    (both low, A1 low, A2 low, both high) per cut point, row-major.
-    """
-
-    pair: OrdinalPair
-    L: np.ndarray
-    C: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _contrast_system(d1: int, d2: int) -> ContrastSystem:
-    pair = OrdinalPair(d1, d2)
-    cells = pair.n_cells
-    rows_i, cols_j = np.divmod(np.arange(cells), d2)  # 0-based cell indices
-
-    L_rows: list[np.ndarray] = []
-    C_cols: list[dict[int, float]] = []
-
-    L_rows.append(np.ones(cells))
-    C_cols.append({0: 1.0})  # null contrast: log sum(pi) = 0
-
-    for r in range(1, d1):
-        low = (rows_i < r).astype(float)
-        C_cols.append({len(L_rows): 1.0, len(L_rows) + 1: -1.0})
-        L_rows.append(low)
-        L_rows.append(1.0 - low)
-    for c in range(1, d2):
-        low = (cols_j < c).astype(float)
-        C_cols.append({len(L_rows): 1.0, len(L_rows) + 1: -1.0})
-        L_rows.append(low)
-        L_rows.append(1.0 - low)
-    for r in range(1, d1):
-        for c in range(1, d2):
-            a1_low = rows_i < r
-            a2_low = cols_j < c
-            base = len(L_rows)
-            L_rows.append((a1_low & a2_low).astype(float))
-            L_rows.append((a1_low & ~a2_low).astype(float))
-            L_rows.append((~a1_low & a2_low).astype(float))
-            L_rows.append((~a1_low & ~a2_low).astype(float))
-            C_cols.append({base: 1.0, base + 1: -1.0, base + 2: -1.0, base + 3: 1.0})
-
-    L = np.array(L_rows)
-    C = np.zeros((L.shape[0], pair.n_eta))
-    for j, col in enumerate(C_cols):
-        for i, v in col.items():
-            C[i, j] = v
-    L.setflags(write=False)
-    C.setflags(write=False)
-    return ContrastSystem(pair, L, C)
-
-
-def contrast_system(pair: OrdinalPair) -> ContrastSystem:
-    return _contrast_system(pair.d1, pair.d2)
 
 
 def pi_to_eta(pi: np.ndarray, pair: OrdinalPair | None = None) -> np.ndarray:
@@ -251,25 +198,91 @@ def eta_to_pi(eta: np.ndarray, pair: OrdinalPair) -> np.ndarray:
 
 
 def d_pi_d_eta(pi: np.ndarray, pair: OrdinalPair | None = None) -> np.ndarray:
-    """Jacobian d pi / d eta at a positive table: inverse of C' D^-1 L."""
+    """Jacobian d pi / d eta (n_cells, n_eta) at a positive table."""
     pi = np.asarray(pi, dtype=float)
     if pair is None:
         pair = OrdinalPair(*pi.shape)
-    cs = contrast_system(pair)
-    mu = cs.L @ pi.reshape(-1)
-    return np.linalg.inv(cs.C.T @ (cs.L / mu[:, None]))
+    return d_pi_d_eta_batch(pi.reshape(pair.n_cells), pair)
+
+
+@lru_cache(maxsize=None)
+def _chain_rule_operands(d1: int, d2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constant operands of the closed-form Jacobian.
+
+    ``sums`` (4 m3, n_cells) is 0/1: it sums the cells of each quadrant
+    (both low, A1 low, A2 low, both high) at every cut point, row-major
+    over (r, c).
+
+    The derivative values v = [pi, d mu_r/d eta_r, d mu_c/d eta_c,
+    d mu_rc/d eta_r, d mu_rc/d eta_c, d mu_rc/d log psi_rc] enter the
+    Jacobian by double differencing, so every Jacobian entry is one fixed
+    0/+-1 combination of them.  ``combine`` holds the distinct
+    combinations as columns and ``entry`` names the combination of each
+    entry of the flattened (n_cells, n_eta) Jacobian: J = (v @ combine)[entry].
+    """
+    pair = OrdinalPair(d1, d2)
+    m1, cells = pair.m1, pair.n_cells
+    i, j = np.divmod(np.arange(cells), d2)
+    low1 = (i < np.arange(1, d1)[:, None])[:, None, :]  # (m1, 1, cells)
+    low2 = (j < np.arange(1, d2)[:, None])[None, :, :]  # (1, m2, cells)
+    quads = [low1 & low2, low1 & ~low2, ~low1 & low2, ~low1 & ~low2]
+    sums = np.stack(quads).reshape(-1, cells).astype(float)
+
+    def bump(r: int, c: int) -> np.ndarray:
+        """Cells' response to a unit change of grid point mu[r, c]."""
+        mu = np.zeros((d1 + 1, d2 + 1))
+        mu[r, c] = 1.0
+        return np.diff(np.diff(mu, axis=0), axis=1).reshape(-1)
+
+    # grid point and predictor column of each derivative value after pi
+    cuts = [(r, c) for r in range(1, d1) for c in range(1, d2)]
+    entries = (
+        [(r, d2, r) for r in range(1, d1)]
+        + [(d1, c, m1 + c) for c in range(1, d2)]
+        + [(r, c, r) for r, c in cuts]
+        + [(r, c, m1 + c) for r, c in cuts]
+        + [(r, c, m1 + pair.m2 + k + 1) for k, (r, c) in enumerate(cuts)]
+    )
+    # int8, as a float placement of a 7x7 table and its sort take 12 MB
+    place = np.zeros((cells + len(entries), cells, pair.n_eta), dtype=np.int8)
+    place[np.arange(cells), np.arange(cells), 0] = 1
+    for row, (r, c, col) in enumerate(entries, start=cells):
+        place[row, :, col] = bump(r, c)
+    combos, entry = np.unique(place.reshape(len(place), -1).T, axis=0, return_inverse=True)
+    combine = combos.T.astype(float)
+    entry = entry.reshape(-1)
+    for a in (sums, combine, entry):
+        a.setflags(write=False)
+    return sums, combine, entry
 
 
 def d_pi_d_eta_batch(pi: np.ndarray, pair: OrdinalPair) -> np.ndarray:
-    """Stacked Jacobians for (..., n_cells) probability rows.
+    """Stacked Jacobians for (..., n_cells) positive probability rows.
 
-    Any leading axes are kept; each row's Jacobian takes the same
-    arithmetic whatever the stack around it.
+    Any leading axes are kept.  The matrix products run once per entry of
+    the axes before the last two, so a replicate's Jacobians take the same
+    arithmetic whatever the replicates stacked around it.
     """
-    cs = contrast_system(pair)
-    mu = pi @ cs.L.T
-    A = (cs.C.T / mu[..., None, :]) @ cs.L
-    return np.linalg.inv(A)
+    sums, combine, entry = _chain_rule_operands(pair.d1, pair.d2)
+    # rows on the last axis, so each elementwise step runs along them
+    x = np.atleast_2d(pi).mT
+    q = sums @ x  # sums of positive cells only: no cancellation
+    lead, rows = q.shape[:-2], q.shape[-1]
+    q1, q2, q3, q4 = (
+        q[..., k * pair.m3 : (k + 1) * pair.m3, :].reshape(*lead, pair.m1, pair.m2, rows)
+        for k in range(4)
+    )
+    d_mu1 = (q1 + q2)[..., :, :1, :] * (q3 + q4)[..., :, :1, :]  # mu_r (1 - mu_r)
+    d_mu2 = (q1 + q3)[..., :1, :, :] * (q2 + q4)[..., :1, :, :]
+    # 1/q_k scaled by the smallest quadrant: every term is at most 1, so
+    # nothing overflows when a quadrant is near zero
+    least = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
+    r2, r3, r4 = least / q2, least / q3, least / q4
+    total = least / q1 + r2 + r3 + r4
+    parts = [d_mu1, d_mu2, (r2 + r4) / total * d_mu1, (r3 + r4) / total * d_mu2, least / total]
+    v = np.concatenate([x] + [a.reshape(*lead, -1, rows) for a in parts], axis=-2)
+    J = (v.mT @ combine)[..., entry]
+    return J.reshape(*np.shape(pi)[:-1], pair.n_cells, pair.n_eta)
 
 
 def empirical_log_gors(counts: np.ndarray) -> np.ndarray:

@@ -89,7 +89,7 @@ def group_profiles(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_counts(counts: np.ndarray) -> np.ndarray:
-    """Counts as int64, once they are nonnegative integers that fit."""
+    """Counts as int64, once they are nonnegative integers whose sum fits."""
     cnt = np.asarray(counts)
     if not np.issubdtype(cnt.dtype, np.integer):
         cnt = cnt.astype(float)
@@ -99,6 +99,9 @@ def _checked_counts(counts: np.ndarray) -> np.ndarray:
             raise ValueError("counts must be integers")
     if (cnt < 0).any():
         raise ValueError("counts must be nonnegative")
+    # summed as Python integers, which do not wrap as int64 and uint64 do
+    if cnt.astype(object).sum() >= 2**63:
+        raise ValueError("counts must sum to below 2**63")
     return cnt.astype(np.int64)
 
 

@@ -329,7 +329,7 @@ def test_fit_batch_matches_solo_fits_through_failures_and_ordering():
     datasets = [sample_dataset(truth, seed=20260816, stream=r) for r in (0, 22)]
     stalled, converged = assert_batch_equals_solo(datasets, truth.spec)
     assert stalled.failure_reason.startswith("no acceptable step")
-    assert stalled.iterations == 81
+    assert stalled.iterations == 75
     assert converged.converged and converged.iterations == 17
     assert_batch_equals_solo(datasets, truth.spec, smoothing_config(truth.spec, 1.0))
 

@@ -123,24 +123,63 @@ def test_eta_to_pi_batch_matches_single():
     np.testing.assert_allclose(batch, pis, atol=1e-11)
 
 
+TABLE_SIZES = [(2, 2), (3, 3), (3, 5), (7, 7)]
+
+
 def test_d_pi_d_eta_matches_finite_differences():
     rng = np.random.default_rng(11)
-    pair = OrdinalPair(3, 3)
-    pi = random_pi(rng, 3, 3)
-    eta = pi_to_eta(pi, pair)
-    J = d_pi_d_eta(pi, pair)
-    h = 1e-6
-    num = np.zeros_like(J)
-    for j in range(1, pair.n_eta):
-        up = eta.copy()
-        dn = eta.copy()
-        up[j] += h
-        dn[j] -= h
-        diff = eta_to_pi(up, pair) - eta_to_pi(dn, pair)
-        num[:, j] = diff.reshape(-1) / (2 * h)
-    np.testing.assert_allclose(J[:, 1:], num[:, 1:], atol=5e-6)
-    batch = d_pi_d_eta_batch(pi[None, :], pair)
-    np.testing.assert_allclose(batch[0], J, atol=1e-12)
+    for d1, d2 in TABLE_SIZES:
+        pair = OrdinalPair(d1, d2)
+        pi = random_pi(rng, d1, d2)
+        eta = pi_to_eta(pi, pair)
+        J = d_pi_d_eta(pi, pair)
+        h = 1e-6
+        num = np.zeros_like(J)
+        for j in range(1, pair.n_eta):
+            up = eta.copy()
+            dn = eta.copy()
+            up[j] += h
+            dn[j] -= h
+            diff = eta_to_pi(up, pair) - eta_to_pi(dn, pair)
+            num[:, j] = diff.reshape(-1) / (2 * h)
+        np.testing.assert_allclose(J[:, 1:], num[:, 1:], atol=5e-6)
+        batch = d_pi_d_eta_batch(pi[None, :], pair)
+        np.testing.assert_allclose(batch[0], J, atol=1e-12)
+
+
+def d_eta_d_pi(pi: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """Gradient of eta = C' log(L pi) in pi, row by row from quadrant masks.
+
+    Row 0 is the null contrast log sum(pi); the margin rows are
+    log(low) - log(high); the association rows are the four quadrant
+    logs with signs +, -, -, +.
+    """
+    i, j = np.divmod(np.arange(d1 * d2), d2)
+    rows = [np.ones(d1 * d2) / pi.sum()]
+    for low in [i < r for r in range(1, d1)] + [j < c for c in range(1, d2)]:
+        rows.append(low / pi[low].sum() - ~low / pi[~low].sum())
+    for r in range(1, d1):
+        for c in range(1, d2):
+            grad = np.zeros(d1 * d2)
+            for a1_low, a2_low, sign in ((1, 1, 1), (1, 0, -1), (0, 1, -1), (0, 0, 1)):
+                mask = ((i < r) == a1_low) & ((j < c) == a2_low)
+                grad += sign * mask / pi[mask].sum()
+            rows.append(grad)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d1, d2", TABLE_SIZES)
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_d_pi_d_eta_batch_inverts_the_link_gradient(d1, d2, lead):
+    rng = np.random.default_rng(d1 * 10 + d2)
+    pair = OrdinalPair(d1, d2)
+    pi = rng.dirichlet(np.full(d1 * d2, 2.0), size=lead)
+    J = d_pi_d_eta_batch(pi, pair)
+    assert J.shape == (*lead, pair.n_cells, pair.n_eta)
+    for idx in np.ndindex(*lead):
+        D = d_eta_d_pi(pi[idx], d1, d2)
+        np.testing.assert_allclose(J[idx] @ D, np.eye(pair.n_cells), atol=1e-10)
+        np.testing.assert_allclose(D @ J[idx], np.eye(pair.n_eta), atol=1e-10)
 
 
 def test_empirical_log_gors_quadrants_and_infinities():
@@ -197,3 +236,19 @@ def test_link_map_extremes_raise_or_sum_to_one_without_warnings():
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     # the probe reaches both outcomes
     assert mask.any() and not mask.all()
+
+
+def test_jacobian_at_link_map_extremes_is_finite_without_warnings():
+    pair = OrdinalPair(3, 3)
+    rows = _extreme_rows(pair)
+    pi = eta_to_pi_batch(rows[compatible_eta_mask(rows, pair)], pair)
+    assert len(pi) == 27 and pi.min() < 1e-300  # cells deep in the subnormals
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        J = d_pi_d_eta_batch(pi, pair)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert np.isfinite(J).all()
+    np.testing.assert_array_equal(J[..., 0], pi)
+    # cells sum to 1 whatever eta_1.., so those columns sum to 0
+    col_sums = J[..., 1:].sum(axis=-2)
+    assert (np.abs(col_sums) <= 1e-14 * np.abs(J[..., 1:]).sum(axis=-2)).all()

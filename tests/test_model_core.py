@@ -60,6 +60,16 @@ def test_group_validates_counts():
     g = Group(np.array([1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert g.counts.dtype == np.int64
     assert g.total == 10
+    # totals that int64 cannot hold are range errors, not wrapped counts
+    for big in (
+        np.array([[2**63, 1], [1, 1]], dtype=np.uint64),
+        np.array([[2**62, 2**62], [1, 0]], dtype=np.int64),
+        np.array([[2.0**62, 2.0**62], [0.0, 0.0]]),
+    ):
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            Group(np.array([0.0]), big)
+    g = Group(np.array([0.0]), np.array([[2**62, 2**62 - 1], [0, 0]], dtype=np.uint64))
+    assert g.total == 2**63 - 1
 
 
 def test_dataset_rejects_duplicate_profiles_and_shape_mismatch():
@@ -220,6 +230,15 @@ def test_merged_accumulates_counts_by_profile():
             [
                 (np.array([1.0]), np.array([[0.5, 0.0], [0.0, 1.0]])),
                 (np.array([1.0]), np.array([[0.5, 0.0], [0.0, 1.0]])),
+            ],
+        )
+    # nor may two tables of one profile sum past int64
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        Dataset.merged(
+            pair,
+            [
+                (np.array([1.0]), np.array([[2**62, 0], [0, 0]])),
+                (np.array([1.0]), np.array([[2**62, 0], [0, 0]])),
             ],
         )
 
