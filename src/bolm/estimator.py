@@ -14,6 +14,18 @@ and scoring iterates beta + step * F_P^-1 s_P with step halving.  A
 trial step is rejected when some group's predictor is incompatible
 (a nonpositive fitted cell) or the penalized log-likelihood decreases.
 
+Near the compatibility boundary most trials are rejected, and one or
+two groups out of hundreds show it.  So a trial that finds nonpositive
+cells records the groups where it found them, in any replicate still
+waiting: the suspects, kept until the next incompatible trial, across
+scoring steps.  While the suspects are a proper subset of the groups,
+each trial first evaluates them alone, and a trial that leaves no
+waiting replicate compatible there is rejected without the full link
+map, log-likelihood or penalty.  The predictor product and the link map
+work group by group, so the screened cells are the full evaluation's
+bit for bit: the screen rejects only trials the full evaluation would
+reject, and changes no result.  A one-group fit never screens.
+
 Beta-dependent penalties (the ordering family) are re-expanded around
 the current iterate once per scoring step and held fixed within it.
 
@@ -112,6 +124,16 @@ class _Arrays:
         out.X, out.Y, out.n = self.X[rows], self.Y[rows], self.n[rows]
         return out
 
+    def _cells_of(self, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """Cells of the design rows X at ``beta``, (..., groups, cells).
+
+        Both the matmul and the link map work group by group, so a
+        subset of the groups gets the bits it gets in the full stack.
+        """
+        eta = X @ beta[..., None, :, None]
+        pi = _cells_unchecked(eta.reshape(-1, self.pair.n_eta), self.pair)
+        return pi.reshape(*eta.shape[:-2], self.pair.n_cells)
+
     def cells(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cell probabilities, compatibility flags and log-likelihoods.
 
@@ -119,9 +141,7 @@ class _Arrays:
         replicate with a nonpositive cell in some group is flagged False,
         and its log-likelihood is meaningless.
         """
-        eta = self.X @ beta[..., None, :, None]
-        pi = _cells_unchecked(eta.reshape(-1, self.pair.n_eta), self.pair)
-        pi = pi.reshape(*eta.shape[:-2], self.pair.n_cells)
+        pi = self._cells_of(self.X, beta)
         ok = (pi > 0).all(axis=(-2, -1))  # NaN marks a non-finite predictor
         if ok.all():
             loglik = np.sum(self.Y * np.log(pi), axis=(-2, -1))
@@ -129,6 +149,10 @@ class _Arrays:
             with np.errstate(divide="ignore", invalid="ignore"):
                 loglik = np.sum(self.Y * np.log(pi), axis=(-2, -1))
         return pi, ok, loglik
+
+    def screen(self, beta: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        """The flags ``cells`` would give if the stack held ``groups`` only."""
+        return (self._cells_of(self.X[..., groups, :, :], beta) > 0).all(axis=(-2, -1))
 
     def probs(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cells and log-likelihoods; raises IncompatibleEta unless every
@@ -316,16 +340,19 @@ def _step_halving(
     direction: np.ndarray,
     lp: np.ndarray,
     options: FitOptions,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    suspects: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One damped Fisher step per replicate.
 
     Each replicate halves its own step until the trial predictor is
     compatible and the penalized log-likelihood does not drop; the set
     still waiting shrinks trial by trial.  Returns the new coefficients,
     cells and log-likelihoods, valid where the returned flag says a
-    step was accepted.
+    step was accepted, and the suspects (see the module docstring) that
+    screen the next step's trials.
     """
     R = len(beta)
+    n_groups = arrays.X.shape[-3]
     floor = lp - 1e-10 * (1.0 + np.abs(lp))
     # the replicates still waiting all stand at the same trial, so they
     # share one step length
@@ -333,16 +360,20 @@ def _step_halving(
     waiting = None  # every replicate, until a trial splits them
     for _ in range(options.step_halvings + 1):
         candidate = beta + step * direction
-        pi, ok, loglik = arrays.cells(candidate)
-        if ok.all():
-            lp_new = loglik - 0.5 * frozen.tau(candidate)
+        if 0 < suspects.size < n_groups and not arrays.screen(candidate, suspects).any():
+            good = np.zeros(len(candidate), dtype=bool)
         else:
-            lp_new = np.full(ok.shape, -np.inf)
-            lp_new[ok] = loglik[ok] - 0.5 * frozen[ok].tau(candidate[ok])
-        good = lp_new >= floor
+            pi, ok, loglik = arrays.cells(candidate)
+            if ok.all():
+                lp_new = loglik - 0.5 * frozen.tau(candidate)
+            else:
+                suspects = np.flatnonzero(~(pi > 0).all(axis=(0, 2)))
+                lp_new = np.full(ok.shape, -np.inf)
+                lp_new[ok] = loglik[ok] - 0.5 * frozen[ok].tau(candidate[ok])
+            good = lp_new >= floor
         if waiting is None:
-            if good.all():
-                return candidate, pi, loglik, good  # all accepted at once: no copies
+            if good.all():  # all accepted at once: no copies
+                return candidate, pi, loglik, good, suspects
             waiting, accepted = np.arange(R), np.zeros(R, dtype=bool)
             new = (np.empty_like(beta), np.empty(arrays.Y.shape), np.empty(R))
         if good.any():
@@ -355,7 +386,7 @@ def _step_halving(
             if not waiting.size:
                 break
         step *= 0.5
-    return (*new, accepted)
+    return (*new, accepted, suspects)
 
 
 def _by_group_count(datasets: list[Dataset]) -> list[list[int]]:
@@ -440,6 +471,7 @@ def _fit_stack(
     # state goes to beta, pi and loglik when it stops
     live = np.arange(R)
     work, b, pi_w, ll_w = arrays, beta.copy(), pi.copy(), loglik.copy()
+    suspects = np.empty(0, dtype=int)  # groups that broke the last trial
 
     def retire(stopped: np.ndarray) -> np.ndarray:
         nonlocal live, work, b, pi_w, ll_w
@@ -470,8 +502,8 @@ def _fit_stack(
                 break
             frozen, direction, lp = frozen[keep], direction[keep], lp[keep]
 
-        new_b, new_pi, new_ll, accepted = _step_halving(
-            work, frozen, b, direction[..., 0], lp, options
+        new_b, new_pi, new_ll, accepted, suspects = _step_halving(
+            work, frozen, b, direction[..., 0], lp, options, suspects
         )
         if not accepted.all():
             for i in np.flatnonzero(~accepted):

@@ -154,6 +154,10 @@ class Dataset:
                 )
             if g.covariates.size != p:
                 raise ValueError("covariate vectors must share one length")
+        # each group total fits in int64; summed as Python integers, the
+        # dataset total must too, so that pooled_counts cannot wrap
+        if sum(np.array([g.counts for g in groups]).sum(axis=(1, 2)).tolist()) >= 2**63:
+            raise ValueError("counts must sum to below 2**63")
         first, _ = group_profiles(np.array([g.covariates for g in groups]))
         if first.size != len(groups):
             raise ValueError(

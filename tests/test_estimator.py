@@ -334,6 +334,80 @@ def test_fit_batch_matches_solo_fits_through_failures_and_ordering():
     assert_batch_equals_solo(datasets, truth.spec, smoothing_config(truth.spec, 1.0))
 
 
+def _count_trials(monkeypatch) -> dict[str, int]:
+    """Count full cell evaluations (the start's included), the incompatible
+    ones, and the trials a screen rejected."""
+    counts = {"full": 0, "incompatible": 0, "rejected": 0}
+    cells, screen = _Arrays.cells, _Arrays.screen
+
+    def counted_cells(self, beta):
+        out = cells(self, beta)
+        counts["full"] += 1
+        counts["incompatible"] += int(not out[1].all())
+        return out
+
+    def counted_screen(self, beta, groups):
+        out = screen(self, beta, groups)
+        counts["rejected"] += int(not out.any())
+        return out
+
+    monkeypatch.setattr(_Arrays, "cells", counted_cells)
+    monkeypatch.setattr(_Arrays, "screen", counted_screen)
+    return counts
+
+
+def test_screen_flags_equal_the_full_cells_of_the_screened_groups():
+    truth = default_loss_benchmark_truth(n=400)
+    datasets = [sample_dataset(truth, seed=20260816, stream=r) for r in range(3)]
+    inside = truth.beta_true
+    # a few groups of replicates 0 and 2 break, none of replicate 1
+    across = inside + np.eye(inside.size)[-1]
+    seen = set()
+    for rows in ([0], [0, 1, 2]):
+        arrays = _Arrays.stacked([datasets[r] for r in rows], truth.spec)
+        for beta in (inside, across):
+            betas = np.tile(beta, (len(rows), 1))
+            pi, ok, _ = arrays.cells(betas)
+            broken = np.flatnonzero(~(pi > 0).all(axis=(0, 2)))
+            for groups in (broken, np.union1d(broken, [5, 200]), np.arange(0, 400, 7)):
+                if not groups.size:
+                    continue
+                screened = arrays._cells_of(arrays.X[..., groups, :, :], betas)
+                assert np.array_equal(screened, pi[..., groups, :], equal_nan=True)
+                flags = arrays.screen(betas, groups)
+                want = (pi[..., groups, :] > 0).all(axis=(-2, -1))
+                assert flags.shape == (len(rows),)
+                assert np.array_equal(flags, want)
+                # a screen never rejects a replicate the full evaluation keeps
+                assert not (ok & ~flags).any()
+                seen.update(flags.tolist())
+    assert seen == {True, False}
+
+
+def test_one_group_fit_never_screens(monkeypatch):
+    counts = _count_trials(monkeypatch)
+
+    def refuse(self, beta, groups):
+        raise AssertionError("screened a one-group fit")
+
+    monkeypatch.setattr(_Arrays, "screen", refuse)
+    dataset = os_dataset()
+    res = fit(dataset, nupom_spec(dataset.pair))
+    assert res.converged
+    # the fit did hit the boundary, where a multi-group fit would screen
+    assert counts["incompatible"] > 0
+
+
+def test_screen_saves_full_trials_on_a_boundary_fit(monkeypatch):
+    counts = _count_trials(monkeypatch)
+    truth = default_loss_benchmark_truth(n=400)
+    dataset = sample_dataset(truth, seed=20260816, stream=0)
+    res = fit(dataset, truth.spec)
+    assert res.failure_reason.startswith("no acceptable step")
+    trials = counts["full"] - 1 + counts["rejected"]  # the start is no trial
+    assert counts["full"] < trials
+
+
 def test_fit_batch_splits_mixed_group_counts():
     loss = default_loss_benchmark_truth(n=400)
     null = default_null_calibration_truth()

@@ -87,6 +87,15 @@ def test_dataset_rejects_duplicate_profiles_and_shape_mismatch():
             Dataset(pair, (Group(np.array([bad]), table),))
 
 
+def test_dataset_rejects_a_total_count_beyond_int64():
+    # each group passes its own range check; the pooled table would wrap
+    pair = OrdinalPair(2, 2)
+    table = np.array([[2**62, 0], [0, 1]])
+    groups = (Group(np.array([0.0]), table), Group(np.array([1.0]), table))
+    with pytest.raises(ValueError, match=r"counts must sum to below 2\*\*63"):
+        Dataset(pair, groups)
+
+
 def test_layout_size_nunpom_vs_upom():
     # category-dependent x everywhere: (2+2)*2 marginal + (4+4) association
     assert ParamLayout(spec_33()).size == 16
