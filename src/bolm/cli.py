@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 from jsonschema import Draft202012Validator
-from scipy import stats
+from scipy.special import ndtr
 
 from .estimator import (
     FitOptions,
@@ -571,6 +571,12 @@ def _loggor_surface(result: FitResult):
     ]
 
 
+def _normal_p_value(z: float) -> float:
+    """Two-sided normal p-value of a Wald z: 2 P(Z > |z|), by the ndtr
+    kernel that scipy.stats.norm.sf calls; 0 at infinite z."""
+    return 0.0 if math.isinf(z) else 2.0 * float(ndtr(-abs(z)))
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -591,7 +597,7 @@ def cmd_fit(config: dict, seed: int, out: Path, threads: int) -> int:
             z = b / s
         else:
             z = float("inf") * np.sign(b) if b else 0.0
-        p = 0.0 if math.isinf(z) else 2.0 * float(stats.norm.sf(abs(z)))
+        p = _normal_p_value(z)
         estimates.append(
             {
                 "label": label,

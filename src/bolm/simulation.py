@@ -443,8 +443,12 @@ def run_table1_experiment(
     return BenchmarkResult(rows, outcomes, ladder)
 
 
-def _pool_map(fn, jobs, threads: int):
-    if threads <= 1:
+def _pool_map(fn, jobs: list, threads: int):
+    """``[fn(job) for job in jobs]`` over at most ``threads`` worker
+    processes, and in process when there is at most one job, where a pool
+    adds only its start-up."""
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))

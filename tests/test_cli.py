@@ -1,12 +1,18 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import stats
 
-from bolm.cli import main
+from bolm.cli import _normal_p_value, main
+from bolm.inference import NULL_CHUNK
 from bolm.simulation import default_loss_benchmark_truth, sample_dataset
 
 REPO = Path(__file__).resolve().parents[1]
@@ -403,8 +409,9 @@ def test_simulate_loss_benchmark_rows(tmp_path):
 
 def test_simulate_outputs_do_not_depend_on_threads(tmp_path):
     experiments = {
+        # two chunks, so that --threads 2 runs the process pool
         "null_calibration": (
-            {"replicates": 4, "n": 200, "lambdas": [0.0, 50.0]},
+            {"replicates": NULL_CHUNK + 1, "n": 200, "lambdas": [0.0, 50.0]},
             ("null_replicates.csv", "null_summary.csv"),
         ),
         "loss_benchmark": (
@@ -424,6 +431,34 @@ def test_simulate_outputs_do_not_depend_on_threads(tmp_path):
             outs.append(out)
         for name in files:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_importing_the_package_leaves_scipy_stats_out():
+    src = str(REPO / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, bolm, bolm.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_normal_p_value_is_the_bits_of_scipy_stats():
+    z = np.concatenate(
+        [np.random.default_rng(11).normal(scale=4.0, size=20_000),
+         [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 1e300, np.nan]]
+    )
+    np.testing.assert_array_equal(
+        [_normal_p_value(value) for value in z], 2.0 * stats.norm.sf(np.abs(z))
+    )
+    assert _normal_p_value(math.inf) == _normal_p_value(-math.inf) == 0.0
 
 
 def test_fit_failure_writes_report_and_exits_3(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -243,6 +245,51 @@ def test_ppom_chi2_test_reports_df_and_warnings():
         res_pen = ppom_chi2_test(fit(dataset, full, cfg), fit(dataset, reduced))
         assert any("reference is conservative" in w for w in res_pen.warnings)
         assert not any("anti-conservative" in w for w in res_pen.warnings)
+
+
+# every degree count 1-33, at chi-squared draws and at the edges of the
+# support, the values a rounding-level negative statistic takes included
+EDGES = np.array([0.0, 1e-300, -1e-300, -1e-9, -1.0, 1e300, np.inf, -np.inf, np.nan])
+
+
+def chi2_grid():
+    rng = np.random.default_rng(20261018)
+    for df in range(1, 34):
+        yield df, np.concatenate([rng.gamma(df / 2, 2.0, size=20_000), EDGES])
+
+
+def test_chi2_tail_and_quantile_are_the_bits_of_scipy_stats():
+    levels = np.concatenate(
+        [np.random.default_rng(7).uniform(size=2_000),
+         [0.0, 1.0, 0.95, 1e-300, 1 - 1e-16, -0.1, 1.5, np.nan]]
+    )
+    for df, x in chi2_grid():
+        np.testing.assert_array_equal(inference._chi2_sf(x, df), stats.chi2.sf(x, df))
+        np.testing.assert_array_equal(
+            inference._chi2_ppf(levels, df), stats.chi2.ppf(levels, df)
+        )
+    assert inference._chi2_sf(-1e-9, 3) == 1.0
+
+
+def test_chi2_ks_distance_is_the_bits_of_scipy_stats():
+    for df, x in chi2_grid():
+        sample = x[~np.isnan(x)][-300:]  # the edges and the last draws
+        expected = stats.ks_1samp(sample, stats.chi2(df).cdf).statistic
+        assert inference._chi2_ks_distance(sample, df) == expected
+        assert inference._chi2_ks_distance(x[:25], df) == (
+            stats.ks_1samp(x[:25], stats.chi2(df).cdf).statistic
+        )
+    assert math.isnan(inference._chi2_ks_distance(np.array([1.0, np.nan]), 2))
+
+
+def test_ppom_chi2_test_at_a_rounding_level_negative_statistic(monkeypatch):
+    truth = default_null_calibration_truth(n=400)
+    dataset = sample_dataset(truth, seed=314, stream=0)
+    full = nunpom_33()
+    reduced = with_global_effect(full, 3, "x")
+    monkeypatch.setattr(inference, "lrp_statistic", lambda full_fit, reduced_fit: -1e-9)
+    res = ppom_chi2_test(fit(dataset, full), fit(dataset, reduced))
+    assert (res.statistic, res.df, res.p_value_chi2) == (-1e-9, 3, 1.0)
 
 
 def test_gray_null_weights_at_fit():

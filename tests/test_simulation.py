@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from bolm import simulation
 from bolm.inference import default_null_calibration_truth
 from bolm.link_map import IncompatibleEta
 from bolm.model_core import INTERCEPT, EquationTerms, ModelSpec, OrdinalPair
 from bolm.simulation import (
+    _pool_map,
     _stream_rng,
     CovariateLaw,
     GeneratingModel,
@@ -168,3 +170,34 @@ def test_run_table1_experiment_structure_and_determinism():
         )
     with pytest.raises(ValueError):
         run_table1_experiment(seed=5, replicates=2, n=100, ladder=(1.0, 0.0))
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: maps in process, keeps the
+    worker counts it was asked for."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_pool_map_starts_no_pool_for_one_job_and_caps_workers(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "workers", [])
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    assert _pool_map(abs, [-3], threads=2) == [3]
+    assert _pool_map(abs, [], threads=2) == []
+    assert _pool_map(abs, [-1, -2], threads=1) == [1, 2]
+    assert RecordingPool.workers == []
+    assert _pool_map(abs, [-1, -2], threads=8) == [1, 2]
+    assert _pool_map(abs, [-1, -2, -3], threads=2) == [1, 2, 3]
+    assert RecordingPool.workers == [2, 2]
