@@ -23,9 +23,9 @@ from .inference import (
     default_null_calibration_truth,
     effective_dimension,
     gray_flattening_law,
-    gray_null_weights,
     gray_weights_from_information,
     is_nested,
+    lr_test,
     lrp_statistic,
     ppom_chi2_test,
     simulate_lrp_null,
@@ -110,9 +110,9 @@ __all__ = [
     "fit_batch",
     "flatten_index",
     "gray_flattening_law",
-    "gray_null_weights",
     "gray_weights_from_information",
     "is_nested",
+    "lr_test",
     "lrp_statistic",
     "penalty_value",
     "pi_to_eta",

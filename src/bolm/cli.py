@@ -31,15 +31,7 @@ from .estimator import (
     FitResult,
     fit,
 )
-from .inference import (
-    LrpResult,
-    default_null_calibration_truth,
-    gray_null_weights,
-    is_nested,
-    ppom_chi2_test,
-    simulate_lrp_null,
-    weighted_chisq_pvalue,
-)
+from .inference import default_null_calibration_truth, lr_test, simulate_lrp_null
 from .link_map import IncompatibleEta, empirical_log_gors
 from .model_core import (
     INTERCEPT,
@@ -50,7 +42,7 @@ from .model_core import (
     OrdinalPair,
     build_design_matrix,
 )
-from .penalties import PenaltyConfig, build_penalty_matrix
+from .penalties import PenaltyConfig
 from .simulation import run_table1_experiment
 
 
@@ -692,114 +684,45 @@ def cmd_profile(
     return 0
 
 
-def _exclusion_delta(full_spec: ModelSpec, reduced_spec: ModelSpec) -> np.ndarray:
-    """Indices of full-model coefficients absent from the reduced model.
-
-    Only whole-variable exclusions qualify: a shared variable must keep
-    its category-dependence, and the association form must match, so the
-    hypothesis is a zero-effect one and the weighted mixture applies."""
-    if full_spec.uniform_association != reduced_spec.uniform_association:
-        raise ConfigError(
-            "mc p-value supports variable-exclusion hypotheses only"
-        )
-    layout = full_spec.layout
-    indices: list[int] = []
-    for k in (1, 2, 3):
-        fe = full_spec.equation(k)
-        re_ = reduced_spec.equation(k)
-        for v in fe.included:
-            if v in re_.included:
-                if (v in fe.dependent_terms) != (v in re_.dependent_terms):
-                    raise ConfigError(
-                        "mc p-value supports variable-exclusion hypotheses only"
-                    )
-            else:
-                block = layout.block(k, v)
-                indices.extend(range(block.start, block.start + block.length))
-    if not indices:
-        raise ConfigError("mc p-value needs at least one excluded variable")
-    return np.array(indices)
-
-
-def _embed_reduced_beta(reduced_fit: FitResult, full_spec: ModelSpec) -> np.ndarray:
-    layout = full_spec.layout
-    beta = np.zeros(layout.size)
-    for block in reduced_fit.layout.blocks:
-        target = layout.block(block.equation, block.variable)
-        beta[target.slice] = reduced_fit.beta_hat[block.slice]
-    return beta
-
-
 def cmd_lrtest(config: dict, seed: int, out: Path, threads: int) -> int:
     base = config["_base_dir"]
     dataset, cov_names, record = _build_dataset(config["dataset"], base)
     full_spec = _parse_model(config["full"], dataset.pair, cov_names)
     reduced_spec = _parse_model(config["reduced"], dataset.pair, cov_names)
-    full_penalty = _parse_penalty(config.get("full_penalty"))
-    reduced_penalty = _parse_penalty(config.get("reduced_penalty"))
-    _check_penalty_targets(full_penalty, full_spec)
-    _check_penalty_targets(reduced_penalty, reduced_spec)
-    options = _parse_fit_options(config)
+    draws = int(config["mc"].get("draws", 200_000)) if "mc" in config else None
 
-    if not is_nested(reduced_spec, full_spec):
-        raise ConfigError("reduced model is not nested in the full model")
-
-    if full_spec == reduced_spec and full_penalty == reduced_penalty:
-        result = LrpResult(0.0, 0, 1.0)
-        fits = None
-    else:
-        full_fit = fit(dataset, full_spec, full_penalty, options)
-        reduced_fit = fit(dataset, reduced_spec, reduced_penalty, options)
+    try:
+        result, full_fit, reduced_fit = lr_test(
+            dataset,
+            full_spec,
+            _parse_penalty(config.get("full_penalty")),
+            reduced_spec,
+            _parse_penalty(config.get("reduced_penalty")),
+            _parse_fit_options(config),
+            draws=draws,
+            seed=seed,
+        )
+    except (IncompatibleEta, np.linalg.LinAlgError):
+        raise  # numerical failures, though ValueErrors
+    except ValueError as exc:  # the hypothesis or a penalty target
+        raise ConfigError(str(exc))
+    if result is None:
         for name, f in (("full", full_fit), ("reduced", reduced_fit)):
             if f.fisher_scoring_failed:
                 print(f"{name} fit failed: {f.failure_reason}", file=sys.stderr)
                 return 3
-        result = ppom_chi2_test(full_fit, reduced_fit)
-        fits = {
-            "full": {
-                "aic": full_fit.aic,
-                "deviance_g2": full_fit.deviance_g2,
-                "edf": full_fit.edf,
-            },
-            "reduced": {
-                "aic": reduced_fit.aic,
-                "deviance_g2": reduced_fit.deviance_g2,
-                "edf": reduced_fit.edf,
-            },
-        }
-        if "mc" in config:
-            delta = _exclusion_delta(full_spec, reduced_spec)
-            P = None
-            if not full_penalty.is_null:
-                P = build_penalty_matrix(full_penalty, full_spec)
-            weights = gray_null_weights(
-                full_fit,
-                delta,
-                P=P,
-                beta=_embed_reduced_beta(reduced_fit, full_spec),
-            )
-            draws = int(config["mc"].get("draws", 200_000))
-            p_mc, mc_se = weighted_chisq_pvalue(
-                result.statistic, weights, draws=draws, seed=seed
-            )
-            result = dataclasses.replace(
-                result, p_value_mc=p_mc, mc_se=mc_se, method="gray_weighted"
-            )
 
     payload = {
         "command": "lrtest",
         "seed": seed,
         "dataset": record,
-        "statistic": result.statistic,
-        "df": result.df,
-        "p_value_chi2": result.p_value_chi2,
-        "p_value_mc": result.p_value_mc,
-        "mc_se": result.mc_se,
-        "method": result.method,
-        "warnings": list(result.warnings),
+        **dataclasses.asdict(result),
     }
-    if fits is not None:
-        payload["fits"] = fits
+    if full_fit is not None:
+        payload["fits"] = {
+            name: {"aic": f.aic, "deviance_g2": f.deviance_g2, "edf": f.edf}
+            for name, f in (("full", full_fit), ("reduced", reduced_fit))
+        }
     _write_json(out / "lrtest.json", payload)
     return 0
 

@@ -2,7 +2,9 @@
 
 The test statistic is LR_P = -2 {l_P(reduced) - l_P(full)} where
 l_P = l - tau/2 is the penalized log-likelihood both fits maximized.
-Reference distributions come in two flavours:
+``lr_test`` is the entry point: it checks the hypothesis, fits both
+models and refers the statistic to its reference distributions, which
+come in two flavours:
 
 * a chi-squared approximation on a structural degree-of-freedom count,
   where any block smoothed beyond ``HEAVY_LAMBDA`` is frozen to the
@@ -34,6 +36,7 @@ from scipy.special import chdtr, chdtrc, gammaincinv
 from .estimator import (
     FitOptions,
     FitResult,
+    fit,
     fit_batch,
     unpenalized_fisher,
     unpenalized_fisher_batch,
@@ -45,7 +48,7 @@ from .model_core import (
     ModelSpec,
     OrdinalPair,
 )
-from .penalties import PenaltyConfig, PenaltyOperator, build_penalty_matrix
+from .penalties import PenaltyConfig, build_penalty_matrix
 from .simulation import CovariateLaw, GeneratingModel, _pool_map, _stream_rng, sample_dataset
 
 # Smoothing at or above this level is treated as a hard constraint when
@@ -234,35 +237,44 @@ def _block_lambdas(config: PenaltyConfig | None, spec: ModelSpec) -> dict[tuple[
     return out
 
 
-def _constrained_blocks(full_spec: ModelSpec, reduced_spec: ModelSpec) -> list[tuple[int, str]]:
-    """Blocks the reduced model flattens relative to the full model."""
-    blocks: list[tuple[int, str]] = []
+EXCLUDED, FLATTENED = "excluded", "flattened"
+
+
+def _constrained_blocks(
+    full_spec: ModelSpec, reduced_spec: ModelSpec
+) -> list[tuple[tuple[int, str], str]]:
+    """Blocks of the full model that the reduced model constrains.
+
+    Each block is marked ``EXCLUDED`` (its variable leaves the equation)
+    or ``FLATTENED`` (its category-specific coefficients share one
+    value).  The order is equations 1, 2 and 3, each in its ``included``
+    order, then a flattened association intercept.
+    """
+    blocks: list[tuple[tuple[int, str], str]] = []
     for k in (1, 2, 3):
         f = full_spec.equation(k)
         r = reduced_spec.equation(k)
-        for var in f.dependent_terms:
-            if var in r.included and var not in r.dependent_terms:
-                blocks.append((k, var))
+        for var in f.included:
+            if var not in r.included:
+                blocks.append(((k, var), EXCLUDED))
+            elif var in f.category_dependent and var not in r.category_dependent:
+                blocks.append(((k, var), FLATTENED))
     if reduced_spec.uniform_association and not full_spec.uniform_association:
-        blocks.append((3, INTERCEPT))
+        blocks.append(((3, INTERCEPT), FLATTENED))
     return blocks
 
 
-def ppom_chi2_test(
-    full_fit: FitResult,
-    reduced_fit: FitResult,
-    lambda_threshold: float = 0.0,
-) -> LrpResult:
-    """Chi-squared approximate test of a flattening hypothesis.
+def ppom_chi2_test(full_fit: FitResult, reduced_fit: FitResult) -> LrpResult:
+    """Chi-squared approximate test of a nested hypothesis.
 
     The statistic is referred to chi-squared on the structural degrees
-    of freedom.  The approximation assumes tested blocks smoothed at no
-    more than ``lambda_threshold`` and matched smoothing elsewhere;
-    violations are reported as warnings rather than errors because the
-    statistic itself is still well defined.  Smoothing a tested block
-    can only lower the statistic, since the extra penalty vanishes on
-    the reduced model's constant block, so there the reference is
-    conservative; ``gray_flattening_law`` gives the statistic's law.
+    of freedom.  The approximation assumes unsmoothed tested blocks and
+    matched smoothing elsewhere; violations are reported as warnings
+    rather than errors because the statistic itself is still well
+    defined.  Smoothing a tested block can only lower the statistic,
+    since the extra penalty vanishes on the reduced model's constrained
+    block, so there the reference is conservative; ``gray_flattening_law``
+    gives the statistic's law.
     """
     statistic = lrp_statistic(full_fit, reduced_fit)
     df = structural_df(
@@ -272,13 +284,12 @@ def ppom_chi2_test(
     warnings: list[str] = []
     full_lams = _block_lambdas(full_fit.penalty, full_fit.spec)
     red_lams = _block_lambdas(reduced_fit.penalty, reduced_fit.spec)
-    tested = _constrained_blocks(full_fit.spec, reduced_fit.spec)
+    tested = [key for key, _ in _constrained_blocks(full_fit.spec, reduced_fit.spec)]
     for key in tested:
-        lam = full_lams.get(key, 0.0)
-        if lam > lambda_threshold:
+        if key in full_lams:
             warnings.append(
-                f"tested block eq{key[0]}:{key[1]} is smoothed at lambda={lam:g}; "
-                "the chi-squared reference is conservative there"
+                f"tested block eq{key[0]}:{key[1]} is smoothed at "
+                f"lambda={full_lams[key]:g}; the chi-squared reference is conservative there"
             )
     shared = set(full_lams) | set(red_lams)
     for key in sorted(shared - set(tested)):
@@ -308,8 +319,6 @@ def _full_penalty(P, n_params: int, delta: np.ndarray) -> np.ndarray:
     is embedded at the tested entries."""
     if P is None:
         return np.zeros((n_params, n_params))
-    if isinstance(P, PenaltyOperator):
-        P = P.matrix()
     P = np.asarray(P, dtype=float)
     if P.shape == (n_params, n_params):
         return 0.5 * (P + P.T)
@@ -444,26 +453,6 @@ def gray_flattening_law(
     return _local_law(T.T @ F @ T, block[1:], T.T @ P @ T, T.T @ (-P @ beta))
 
 
-def gray_null_weights(
-    fit_at_h0: FitResult,
-    delta_indices,
-    P=None,
-    beta: np.ndarray | None = None,
-) -> np.ndarray:
-    """Mixture weights evaluated at a fitted null model.
-
-    The information matrix is the unpenalized one at the null estimate
-    with the tested entries forced to zero, so the weights describe the
-    statistic's behaviour exactly under the hypothesis being tested.
-    """
-    delta = np.asarray(delta_indices, dtype=int)
-    if beta is None:
-        beta = fit_at_h0.beta_hat.copy()
-        beta[delta] = 0.0
-    F = unpenalized_fisher(beta, fit_at_h0.dataset, fit_at_h0.spec)
-    return gray_weights_from_information(F, delta, P)
-
-
 def _mixture_weights(weights, draws: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size == 0:
@@ -542,6 +531,74 @@ def weighted_chisq_quantile(
         values[filled : filled + s.size] = s
         filled += s.size
     return float(np.quantile(values, level, overwrite_input=True))
+
+
+def _excluded_indices(spec: ModelSpec, blocks) -> np.ndarray:
+    """Entries of ``spec``'s parameter vector in the excluded ``blocks``,
+    in their order; a flattened block has no zero-effect form here."""
+    if any(kind == FLATTENED for _, kind in blocks):
+        raise ValueError("mc p-value supports variable-exclusion hypotheses only")
+    if not blocks:
+        raise ValueError("mc p-value needs at least one excluded variable")
+    spans = [spec.layout.block(*key) for key, _ in blocks]
+    return np.concatenate([np.arange(b.start, b.start + b.length) for b in spans])
+
+
+def lr_test(
+    dataset: Dataset,
+    full_spec: ModelSpec,
+    full_penalty: PenaltyConfig,
+    reduced_spec: ModelSpec,
+    reduced_penalty: PenaltyConfig,
+    options: FitOptions | None,
+    draws: int | None = None,
+    seed: int = 0,
+) -> tuple[LrpResult | None, FitResult | None, FitResult | None]:
+    """Penalized likelihood-ratio test of ``reduced_spec`` within ``full_spec``.
+
+    The hypothesis is checked before anything is fitted: a pair that is
+    not nested or whose nesting heavy smoothing inverts raises
+    ValueError, and so does ``draws`` when it is not positive, when the
+    hypothesis is not whole-variable exclusion or when the full penalty
+    has an ordering part.  An identical pair is the null test,
+    statistic 0 on 0 df with p = 1, and fits nothing.  Otherwise both
+    models are fitted and the statistic is referred to chi-squared on
+    the structural degrees of freedom (``ppom_chi2_test``).  With
+    ``draws`` it is also referred to Gray's mixture, by that many draws
+    from stream ``seed``: the weights come from the unpenalized
+    information at the reduced estimate, embedded in the full layout
+    with the excluded entries zero, damped by the full model's penalty.
+
+    Returns the result and the full and reduced fits; the result is None
+    when either fit failed, which that fit reports.
+    """
+    structural_df(full_spec, full_penalty, reduced_spec, reduced_penalty)
+    if full_spec == reduced_spec and full_penalty == reduced_penalty:
+        return LrpResult(0.0, 0, 1.0), None, None
+    if draws is not None:
+        if draws <= 0:
+            raise ValueError("draw count must be positive")
+        delta = _excluded_indices(full_spec, _constrained_blocks(full_spec, reduced_spec))
+        P = build_penalty_matrix(full_penalty, full_spec)
+
+    full_fit = fit(dataset, full_spec, full_penalty, options)
+    reduced_fit = fit(dataset, reduced_spec, reduced_penalty, options)
+    if full_fit.fisher_scoring_failed or reduced_fit.fisher_scoring_failed:
+        return None, full_fit, reduced_fit
+    result = ppom_chi2_test(full_fit, reduced_fit)
+    if draws is not None:
+        beta = np.zeros(full_spec.layout.size)
+        for block in reduced_fit.layout.blocks:
+            target = full_spec.layout.block(block.equation, block.variable)
+            beta[target.slice] = reduced_fit.beta_hat[block.slice]
+        weights = gray_weights_from_information(
+            unpenalized_fisher(beta, dataset, full_spec), delta, P
+        )
+        p_mc, mc_se = weighted_chisq_pvalue(result.statistic, weights, draws=draws, seed=seed)
+        result = dataclasses.replace(
+            result, p_value_mc=p_mc, mc_se=mc_se, method="gray_weighted"
+        )
+    return result, full_fit, reduced_fit
 
 
 def default_null_calibration_truth(n: int = 400) -> GeneratingModel:

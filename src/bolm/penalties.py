@@ -204,16 +204,7 @@ def build_penalty_matrix(config: PenaltyConfig, spec: ModelSpec) -> np.ndarray:
     Rejects the ordering family: its matrix depends on beta and the
     data, see build_ordering_penalty.
     """
-    if config.ordering_parts():
-        raise ValueError(
-            "ordering penalty depends on beta; use build_ordering_penalty"
-        )
-    layout = spec.layout
-    P = np.zeros((layout.size, layout.size))
-    for (k, var), lam, K in config.block_operators(spec):
-        b = layout.block(k, var)
-        P[b.slice, b.slice] += lam * (K.T @ K)
-    return P
+    return PenaltyOperator(config, spec).matrix()
 
 
 def penalty_value(config: PenaltyConfig, spec: ModelSpec, beta: np.ndarray) -> float:

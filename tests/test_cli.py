@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bolm import inference
 from bolm.cli import _normal_p_value, main
 from bolm.inference import NULL_CHUNK
+from bolm.link_map import IncompatibleEta
 from bolm.simulation import default_loss_benchmark_truth, sample_dataset
 
 REPO = Path(__file__).resolve().parents[1]
@@ -255,6 +257,40 @@ def test_profile_zero_lambda_identity_across_orders(tmp_path):
     assert float(zero_rows[0][3]) == pytest.approx(15.0, abs=1e-6)
 
 
+_OS_DATASET = {"path": str(REPO / "data/occupational_status.dat"), "format": "table"}
+
+# the 3x3 two-profile table of the mc tests: x in eq1 and eq2 globally
+_MC_MARGINS = {"covariates": ["x"], "eq1": {"include": ["x"]}, "eq2": {"include": ["x"]}}
+
+
+def _arc1_eq3(*variables) -> dict:
+    return {
+        "family": "arc1",
+        "terms": [{"equation": 3, "variable": v, "lambda": 10} for v in variables],
+    }
+
+
+def mc_config(tmp_path: Path, **fields) -> str:
+    """Writes mc.csv and an lrtest config on it; ``fields`` fill the config."""
+    lines = ["a1,a2,x,count"]
+    t0 = [[40, 20, 10], [20, 30, 20], [10, 20, 40]]
+    t1 = [[30, 20, 15], [25, 30, 25], [15, 25, 45]]
+    for x, table in ((0, t0), (1, t1)):
+        for r in range(3):
+            for c in range(3):
+                lines.append(f"{r + 1},{c + 1},{x},{table[r][c]}")
+    (tmp_path / "mc.csv").write_text("\n".join(lines) + "\n")
+    dataset = {"path": "mc.csv", "format": "long", "pair": [3, 3]}
+    return write_json(tmp_path, "mc.json", {"dataset": dataset, **fields})
+
+
+def _refuse_fits(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a refused test must not fit")
+
+    monkeypatch.setattr(inference, "fit", no_fit)
+
+
 def test_lrtest_statistic_equals_deviance_gap(tmp_path):
     rc = main(
         ["lrtest", "--config", str(CONFIGS / "os_lrtest.json"), "--out", str(tmp_path)]
@@ -285,49 +321,38 @@ def test_lrtest_rejects_non_nested_pair(tmp_path):
     assert main(["lrtest", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-def test_lrtest_identical_models_give_null_test(tmp_path):
-    cfg = write_json(
-        tmp_path,
-        "same.json",
-        {
-            "dataset": {
-                "path": str(REPO / "data/occupational_status.dat"),
-                "format": "table",
-            },
-            "full": {"uniform_association": True},
-            "reduced": {"uniform_association": True},
-        },
+def test_lrtest_identical_models_give_null_test(tmp_path, monkeypatch):
+    _refuse_fits(monkeypatch)
+    same = {"uniform_association": True}
+    # with mc as well: an identical pair is the null test, not a refusal
+    for extra in ({}, {"mc": {}}):
+        cfg = write_json(
+            tmp_path,
+            "same.json",
+            {"dataset": _OS_DATASET, "full": same, "reduced": same, **extra},
+        )
+        assert main(["lrtest", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = json.loads((tmp_path / "lrtest.json").read_text())
+        assert out["statistic"] == 0.0
+        assert out["df"] == 0
+        assert out["p_value_chi2"] == 1.0
+        assert (out["p_value_mc"], "fits" in out) == (None, False)
+
+
+def _pinned(out: dict) -> tuple:
+    return (
+        out["statistic"], out["df"], out["p_value_chi2"], out["p_value_mc"],
+        out["mc_se"], out["fits"],
     )
-    assert main(["lrtest", "--config", cfg, "--out", str(tmp_path)]) == 0
-    out = json.loads((tmp_path / "lrtest.json").read_text())
-    assert out["statistic"] == 0.0
-    assert out["df"] == 0
-    assert out["p_value_chi2"] == 1.0
 
 
 def test_lrtest_mc_pvalue_matches_chi2_when_unpenalized(tmp_path):
-    lines = ["a1,a2,x,count"]
-    t0 = [[40, 20, 10], [20, 30, 20], [10, 20, 40]]
-    t1 = [[30, 20, 15], [25, 30, 25], [15, 25, 45]]
-    for x, table in ((0, t0), (1, t1)):
-        for r in range(3):
-            for c in range(3):
-                lines.append(f"{r + 1},{c + 1},{x},{table[r][c]}")
-    (tmp_path / "mc.csv").write_text("\n".join(lines) + "\n")
-    cfg = write_json(
+    cfg = mc_config(
         tmp_path,
-        "mc.json",
-        {
-            "dataset": {"path": "mc.csv", "format": "long", "pair": [3, 3]},
-            "full": {
-                "covariates": ["x"],
-                "eq1": {"include": ["x"]},
-                "eq2": {"include": ["x"]},
-            },
-            "reduced": {"covariates": ["x"]},
-            "mc": {"draws": 50000},
-            "seed": 7,
-        },
+        full=_MC_MARGINS,
+        reduced={"covariates": ["x"]},
+        mc={"draws": 50000},
+        seed=7,
     )
     assert main(["lrtest", "--config", cfg, "--out", str(tmp_path)]) == 0
     out = json.loads((tmp_path / "lrtest.json").read_text())
@@ -339,6 +364,116 @@ def test_lrtest_mc_pvalue_matches_chi2_when_unpenalized(tmp_path):
     assert abs(out["p_value_mc"] - out["p_value_chi2"]) <= max(
         4.0 * out["mc_se"], 5e-3
     )
+    assert _pinned(out) == (
+        1.562297216720708, 2, 0.4578797846002527, 0.45602, 0.0022274009948817027,
+        {
+            "full": {"aic": 1888.641256455272, "deviance_g2": 2.9397211129345875, "edf": 10.0},
+            "reduced": {"aic": 1886.2035536719927, "deviance_g2": 4.502018329655142, "edf": 8.0},
+        },
+    )
+
+
+def test_lrtest_penalized_mc_outputs_are_pinned(tmp_path):
+    # eq3 x smoothed in the full model and excluded from the reduced one;
+    # both models smooth the association intercepts alike
+    cfg = mc_config(
+        tmp_path,
+        full={**_MC_MARGINS, "eq3": {"include": ["x"], "category_dependent": ["x"]}},
+        reduced=_MC_MARGINS,
+        full_penalty=_arc1_eq3("x", None),
+        reduced_penalty=_arc1_eq3(None),
+        mc={"draws": 20000},
+        seed=7,
+    )
+    assert main(["lrtest", "--config", cfg, "--out", str(tmp_path)]) == 0
+    out = json.loads((tmp_path / "lrtest.json").read_text())
+    assert out["method"] == "gray_weighted"
+    assert _pinned(out) == (
+        2.740872675246692, 4, 0.6020816023878451, 0.25145, 0.00306775893365173,
+        {
+            "full": {
+                "aic": 1887.9610513537998,
+                "deviance_g2": 0.2441243401196641,
+                "edf": 11.007695835671287,
+            },
+            "reduced": {
+                "aic": 1886.5899084682262,
+                "deviance_g2": 2.980586016183345,
+                "edf": 8.953893554852689,
+            },
+        },
+    )
+    # the excluded block is a tested block, so its smoothing is reported as such
+    assert out["warnings"] == [
+        "tested block eq3:x is smoothed at lambda=10; "
+        "the chi-squared reference is conservative there"
+    ]
+
+
+# config on mc.csv and message of each lrtest refused before any fit
+_REFUSED = {
+    "flattening": (
+        {"full": {}, "reduced": {"uniform_association": True}, "mc": {}},
+        "mc p-value supports variable-exclusion hypotheses only",
+    ),
+    "no-exclusion": (
+        {"full": {}, "reduced": {}, "mc": {}, "full_penalty": _arc1_eq3(None)},
+        "mc p-value needs at least one excluded variable",
+    ),
+    "inverted-nesting": (
+        {
+            "full": {},
+            "reduced": {"uniform_association": True},
+            "full_penalty": {"family": "ridge", "terms": [{"equation": 3, "lambda": 1e7}]},
+        },
+        "heavy smoothing inverted the nesting",
+    ),
+    "missing-target": (
+        {
+            "full": {},
+            "reduced": {"uniform_association": True},
+            "reduced_penalty": {"family": "arc1", "terms": [{"equation": 1, "variable": "z", "lambda": 1}]},
+        },
+        "penalty targets missing block eq1:z",
+    ),
+    "ordering-mc": (
+        {
+            "full": {"eq1": {"include": ["x"]}},
+            "reduced": {},
+            "full_penalty": {"family": "ordering", "lambda1": 1.0, "lambda2": 1.0},
+            "mc": {},
+        },
+        "ordering penalty depends on beta",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_lrtest_refuses_before_fitting(tmp_path, capsys, monkeypatch, case):
+    _refuse_fits(monkeypatch)
+    config, message = _REFUSED[case]
+    cfg = mc_config(tmp_path, **config)
+    assert main(["lrtest", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "lrtest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "error", [IncompatibleEta("no cells"), np.linalg.LinAlgError("singular")]
+)
+def test_lrtest_numerical_failures_exit_3(tmp_path, capsys, monkeypatch, error):
+    # both are ValueErrors, yet they are not config errors
+    def failing_fit(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(inference, "fit", failing_fit)
+    cfg = write_json(
+        tmp_path,
+        "os.json",
+        {"dataset": _OS_DATASET, "full": {}, "reduced": {"uniform_association": True}},
+    )
+    assert main(["lrtest", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 def test_simulate_null_calibration_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,9 +12,9 @@ from bolm.inference import (
     default_null_calibration_truth,
     effective_dimension,
     gray_flattening_law,
-    gray_null_weights,
     gray_weights_from_information,
     is_nested,
+    lr_test,
     lrp_statistic,
     ppom_chi2_test,
     simulate_lrp_null,
@@ -300,15 +301,55 @@ def test_gray_null_weights_at_fit():
     layout = ParamLayout(full)
     blk = layout.block(3, "x")
     idx = list(range(blk.start, blk.start + blk.length))
-    w = gray_null_weights(full_fit, idx, P=None)
+    beta = full_fit.beta_hat.copy()
+    beta[idx] = 0.0  # the information under the hypothesis being tested
+    F = unpenalized_fisher(beta, dataset, full)
+    w = gray_weights_from_information(F, idx, None)
     np.testing.assert_allclose(w, np.ones(4), atol=1e-8)
     # first-difference smoothing on the tested block: singular penalty
     # keeps exactly one weight at one, the others strictly below
     P = PenaltyOperator(PenaltyConfig.arc1({(3, "x"): 25.0}), full).matrix()
-    w_pen = np.sort(gray_null_weights(full_fit, idx, P=P))
+    w_pen = np.sort(gray_weights_from_information(F, idx, P))
     assert w_pen[-1] == pytest.approx(1.0, abs=1e-8)
     assert w_pen[0] < 0.9
     assert (w_pen > 0.0).all()
+
+
+def test_lr_test_runs_the_chi2_test_on_its_own_fits(monkeypatch):
+    truth = default_null_calibration_truth(n=400)
+    dataset = sample_dataset(truth, seed=314, stream=0)
+    full = nunpom_33()
+    reduced = with_global_effect(full, 3, "x")
+    cfg = PenaltyConfig.arc1({(3, "x"): 10.0})
+    none = PenaltyConfig.none()
+    res, full_fit, reduced_fit = lr_test(dataset, full, cfg, reduced, none, None)
+    assert res == ppom_chi2_test(fit(dataset, full, cfg), fit(dataset, reduced))
+    assert (full_fit.spec, reduced_fit.spec) == (full, reduced)
+    # refused before fitting: a flattening hypothesis has no Gray mixture
+    # here, and a Monte Carlo estimate needs draws
+    monkeypatch.setattr(inference, "fit", None)
+    with pytest.raises(ValueError, match="variable-exclusion"):
+        lr_test(dataset, full, cfg, reduced, none, None, draws=100)
+    excluded = dataclasses.replace(full, eq3=EquationTerms())
+    with pytest.raises(ValueError, match="draw count"):
+        lr_test(dataset, full, cfg, excluded, none, None, draws=0)
+
+
+def test_exclusion_tests_warn_about_the_tested_block():
+    truth = default_null_calibration_truth(n=400)
+    dataset = sample_dataset(truth, seed=314, stream=0)
+    full = nunpom_33()
+    reduced = dataclasses.replace(full, eq3=EquationTerms())
+    cfg = PenaltyConfig.arc1({(3, "x"): 10.0})
+    res, _, _ = lr_test(dataset, full, cfg, reduced, PenaltyConfig.none(), None, draws=1000)
+    assert res.df == 4
+    assert res.warnings == (
+        "tested block eq3:x is smoothed at lambda=10; "
+        "the chi-squared reference is conservative there",
+    )
+    assert res.method == "gray_weighted"
+    # weights in [0, 1] make the mixture's tail the lighter: chi-squared is conservative
+    assert res.p_value_mc <= res.p_value_chi2 + 4 * res.mc_se
 
 
 def test_simulate_lrp_null_deterministic_and_damped():
