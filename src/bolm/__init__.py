@@ -52,7 +52,6 @@ from .model_core import (
     OrdinalPair,
     ParamLayout,
     build_design_matrix,
-    flatten_index,
 )
 from .penalties import (
     PenaltyConfig,
@@ -108,7 +107,6 @@ __all__ = [
     "eta_to_pi_batch",
     "fit",
     "fit_batch",
-    "flatten_index",
     "gray_flattening_law",
     "gray_weights_from_information",
     "is_nested",

@@ -265,13 +265,30 @@ def _reject_constant(name: str):
     raise ConfigError(f"config is not valid JSON: bare {name} is not a number")
 
 
+def _finite(parse):
+    """A json.load hook: ``parse`` of a number literal within the float
+    range, which 1e400 (read as inf) and 10**400 (no float) are not."""
+
+    def hook(text: str):
+        if not math.isfinite(float(text)):
+            raise ConfigError(f"config number {text} is outside the float range")
+        return parse(text)
+
+    return hook
+
+
 def _load_config(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(p) as fh:
-            config = json.load(fh, parse_constant=_reject_constant)
+            config = json.load(
+                fh,
+                parse_float=_finite(float),
+                parse_int=_finite(int),
+                parse_constant=_reject_constant,
+            )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(config, dict):
@@ -462,15 +479,13 @@ def _parse_penalty(pcfg: dict | None) -> PenaltyConfig:
     family = "none" if pcfg is None else pcfg["family"]
     if family == "none":
         return PenaltyConfig.none()
-    if family in ("ridge", "arc1"):
-        lambdas = {_term_key(t, "equation"): float(t["lambda"]) for t in pcfg["terms"]}
+    if family in ("ridge", "arc1", "arc2"):
+        key = "stream" if family == "arc2" else "equation"
+        lambdas = {_term_key(t, key): float(t["lambda"]) for t in pcfg["terms"]}
+        if family == "arc2":
+            orders = {_term_key(t, key): int(t["order"]) for t in pcfg["terms"]}
+            return PenaltyConfig.arc2(lambdas, orders)
         return getattr(PenaltyConfig, family)(lambdas)
-    if family == "arc2":
-        terms = pcfg["terms"]
-        return PenaltyConfig.arc2(
-            {_term_key(t, "stream"): float(t["lambda"]) for t in terms},
-            {_term_key(t, "stream"): int(t["order"]) for t in terms},
-        )
     if family == "ordering":
         return PenaltyConfig.ordering(
             float(pcfg["lambda1"]),
@@ -654,6 +669,13 @@ def _profile_curve(dataset, spec, s: int, lambdas, options):
     return rows
 
 
+def _grid_lambda(log_base: float, g) -> float:
+    try:
+        return float(log_base) ** float(g)
+    except OverflowError:
+        raise ConfigError(f"log_lambdas value {g} overflows a float in base {log_base:g}")
+
+
 def cmd_profile(
     config: dict, seed: int, out: Path, threads: int, log_base: float
 ) -> int:
@@ -664,7 +686,7 @@ def cmd_profile(
     s_values = list(config["s_values"])
 
     if "log_lambdas" in config:
-        lambdas = sorted(float(log_base) ** float(g) for g in config["log_lambdas"])
+        lambdas = sorted(_grid_lambda(log_base, g) for g in config["log_lambdas"])
     else:
         lambdas = sorted(float(v) for v in config["lambdas"])
 
@@ -861,8 +883,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError("--threads must be at least 1")
         handler = _HANDLERS[args.command]
         if args.command == "profile":
-            if args.log_base <= 0 or args.log_base == 1.0:
-                raise ConfigError("--log-base must be positive and not 1")
+            if not 0 < args.log_base < math.inf or args.log_base == 1.0:
+                raise ConfigError("--log-base must be positive, finite and not 1")
             return handler(config, seed, out, args.threads, args.log_base)
         return handler(config, seed, out, args.threads)
     except ConfigError as exc:

@@ -26,7 +26,7 @@ work group by group, so the screened cells are the full evaluation's
 bit for bit: the screen rejects only trials the full evaluation would
 reject, and changes no result.  A one-group fit never screens.
 
-Beta-dependent penalties (the ordering family) are re-expanded around
+Beta-dependent penalties (the ordering terms) are re-expanded around
 the current iterate once per scoring step and held fixed within it.
 
 ``fit_batch`` runs the iteration for several datasets in lockstep on a
@@ -239,7 +239,7 @@ class _FrozenPenalty:
 
     Evaluations take one coefficient row per replicate and run through
     the factored operators; the assembled matrix is only used inside the
-    Fisher solve, where no cancellation occurs.  Without ordering parts
+    Fisher solve, where no cancellation occurs.  Without ordering terms
     nothing depends on the iterate and every replicate shares the static
     matrix; otherwise ``states`` holds each replicate's ordering states
     and P is (R, p, p).
@@ -297,14 +297,14 @@ def _freeze_penalty(
     arrays: _Arrays,
     static: PenaltyOperator,
     static_P: np.ndarray,
-    ordering: list[PenaltyConfig],
+    ordering: tuple[tuple[float, float, float], ...],
     beta: np.ndarray,
 ) -> _FrozenPenalty:
     """The penalty of one scoring step, with ordering states at ``beta``."""
     states = [
         [
-            ordering_state(X, n, arrays.pair, b, part.lambda1, part.lambda2, part.margin)
-            for part in ordering
+            ordering_state(X, n, arrays.pair, b, lambda1, lambda2, margin)
+            for lambda1, lambda2, margin in ordering
         ]
         for X, n, b in zip(arrays.X, arrays.n, beta)
     ]
@@ -415,7 +415,7 @@ def fit_batch(
     penalty = penalty if penalty is not None else PenaltyConfig.none()
     options = options if options is not None else FitOptions()
     datasets = list(datasets)
-    static = PenaltyOperator(PenaltyConfig.composite(*penalty.static_parts()), spec)
+    static = PenaltyOperator(PenaltyConfig(penalty.blocks), spec)
     results: list[FitResult] = [None] * len(datasets)  # type: ignore[list-item]
     for members in _by_group_count(datasets):
         stack = [datasets[r] for r in members]
@@ -445,8 +445,8 @@ def _fit_stack(
     layout = spec.layout
     R = len(datasets)
     static_P = static.matrix()
-    ordering = penalty.ordering_parts()
-    # without ordering parts the penalty never changes
+    ordering = penalty.orderings
+    # without ordering terms the penalty never changes
     fixed = None if ordering else _FrozenPenalty(static, static_P)
 
     beta = np.stack([default_start(ds, spec) for ds in datasets])

@@ -192,9 +192,8 @@ def effective_dimension(spec: ModelSpec, penalty: PenaltyConfig | None = None) -
     ones).  Ordering penalties never constrain dimension: they vanish
     on an open set.
     """
-    layout = spec.layout
-    dim = layout.size
-    if penalty is None or penalty.is_null:
+    dim = spec.layout.size
+    if penalty is None:
         return dim
     heavy: dict[tuple[int, str], list[np.ndarray]] = {}
     for (key, var), lam, op in penalty.block_operators(spec):
@@ -228,7 +227,7 @@ def structural_df(
 def _block_lambdas(config: PenaltyConfig | None, spec: ModelSpec) -> dict[tuple[int, str], float]:
     """Largest smoothing level applied to each (equation, variable) block."""
     out: dict[tuple[int, str], float] = {}
-    if config is None or config.is_null:
+    if config is None:
         return out
     for (key, var), lam, _ in config.block_operators(spec):
         prev = out.get((key, var), 0.0)
@@ -560,7 +559,7 @@ def lr_test(
     not nested or whose nesting heavy smoothing inverts raises
     ValueError, and so does ``draws`` when it is not positive, when the
     hypothesis is not whole-variable exclusion or when the full penalty
-    has an ordering part.  An identical pair is the null test,
+    has an ordering term.  An identical pair is the null test,
     statistic 0 on 0 df with p = 1, and fits nothing.  Otherwise both
     models are fitted and the statistic is referred to chi-squared on
     the structural degrees of freedom (``ppom_chi2_test``).  With

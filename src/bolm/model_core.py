@@ -58,16 +58,6 @@ class OrdinalPair:
         return 1 + self.m1 + self.m2 + self.m3
 
 
-def flatten_index(r: int, c: int, pair: OrdinalPair) -> int:
-    """1-based position of cut point (r, c) in the association block.
-
-    Cut points run row-major: (r-1)*(d2-1) + c.
-    """
-    if not (1 <= r <= pair.m1 and 1 <= c <= pair.m2):
-        raise ValueError(f"cut point ({r}, {c}) out of range for {pair}")
-    return (r - 1) * pair.m2 + c
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a

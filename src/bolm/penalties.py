@@ -1,15 +1,17 @@
-"""Quadratic penalties on parameter blocks.
+"""Quadratic penalties as sums of terms.
 
-All penalties are block quadratic forms tau(beta) = beta' P beta built
-from difference operators:
+A penalty is a sum of terms of two kinds.  A block term puts a
+quadratic difference penalty, in the sense of Eilers & Marx (1996), on
+one parameter block, tau = lam * ||K beta_block||^2:
 
-    ridge   sum_t beta_t^2                    (whole block to zero)
-    arc1    sum_t (beta_t - beta_{t-1})^2     (whole block to a constant)
-    arc2    s-fold differences; on the association block two streams,
-            one differencing across the first response's cuts and one
-            across the second's
+    ridge   K the identity                    (whole block to zero)
+    arc1    K the first differences           (whole block to a constant)
+    arc2    K the s-fold differences; on the association block two
+            streams, one differencing across the first response's cuts
+            and one across the second's
 
-and an asymmetric ordering penalty on the fitted marginal predictors,
+An ordering term is an asymmetric penalty on the fitted marginal
+predictors,
 
     tau(beta) = sum_i n_i sum_{k=1,2} lambda_k
                 sum_r 1[d_eta <= margin] (d_eta - margin)^2,
@@ -30,14 +32,13 @@ array([[-1.,  1.,  0.,  0.],
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model_core import INTERCEPT, Dataset, ModelSpec, OrdinalPair, ParamLayout, design_matrices
 
-_FAMILIES = ("none", "ridge", "arc1", "arc2", "ordering", "composite")
+_BLOCK_FAMILIES = ("ridge", "arc1", "arc2")
 
 
 def difference_matrix(length: int, order: int) -> np.ndarray:
@@ -52,134 +53,108 @@ def difference_matrix(length: int, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty family plus per-(equation, variable) smoothing values.
+    """A penalty as a sum of block terms and ordering terms.
 
-    Block keys are (equation, variable) with variable INTERCEPT or a
-    covariate name.  arc2 keys streams 1..4 instead of equations:
-    streams 1 and 2 act on the two marginal equations, streams 3 and 4
-    on the association block (differences across the first and second
-    response's cut points respectively).
+    ``blocks`` holds terms ``(family, (key, variable), lam, order)`` with
+    family ``ridge``, ``arc1`` or ``arc2`` and variable INTERCEPT or a
+    covariate name.  ridge and arc1 key equations 1..3 and carry their
+    difference order 0 and 1; arc2 keys streams 1..4 and carries its
+    order: streams 1 and 2 act on the two marginal equations, streams 3
+    and 4 on the association block (differences across the first and
+    second response's cut points respectively).  ``orderings`` holds
+    ordering terms ``(lambda1, lambda2, margin)``.
+
+    The constructors build one family's terms; ``composite`` concatenates
+    the terms of its parts in order, so equal sums compare equal.
     """
 
-    family: str
-    lambdas: tuple = ()            # ridge/arc1: ((eq, var), lam)
-    streams: tuple = ()            # arc2: ((stream, var), (lam, order))
-    lambda1: float = 0.0           # ordering
-    lambda2: float = 0.0
-    margin: float = 0.0
-    parts: tuple = ()              # composite
+    blocks: tuple = ()
+    orderings: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown penalty family {self.family!r}")
         # NaN fails every comparison, so the checks ask for 0 <= v < inf
-        smoothing = [lam for _, lam in self.lambdas]
-        smoothing += [lam for _, (lam, _) in self.streams]
-        if not all(0 <= lam < math.inf for lam in (*smoothing, self.lambda1, self.lambda2)):
+        smoothing = [lam for _, _, lam, _ in self.blocks]
+        smoothing += [lam for lam1, lam2, _ in self.orderings for lam in (lam1, lam2)]
+        if not all(0 <= lam < math.inf for lam in smoothing):
             raise ValueError("smoothing values must be finite and nonnegative")
-        for _, (_, order) in self.streams:
-            if int(order) < 1:
+        for family, _, _, order in self.blocks:
+            if family not in _BLOCK_FAMILIES:
+                raise ValueError(f"unknown penalty family {family!r}")
+            if family == "arc2" and int(order) < 1:
                 raise ValueError("difference order must be >= 1")
-        if not 0 <= self.margin < math.inf:
+        if not all(0 <= margin < math.inf for _, _, margin in self.orderings):
             raise ValueError("ordering margin must be finite and nonnegative")
 
     @classmethod
     def none(cls) -> "PenaltyConfig":
-        return cls("none")
+        return cls()
 
     @classmethod
     def ridge(cls, lambdas: dict) -> "PenaltyConfig":
-        return cls("ridge", lambdas=tuple(sorted(lambdas.items())))
+        return cls(tuple(("ridge", key, lam, 0) for key, lam in sorted(lambdas.items())))
 
     @classmethod
     def arc1(cls, lambdas: dict) -> "PenaltyConfig":
-        return cls("arc1", lambdas=tuple(sorted(lambdas.items())))
+        return cls(tuple(("arc1", key, lam, 1) for key, lam in sorted(lambdas.items())))
 
     @classmethod
     def arc2(cls, lambdas: dict, orders: dict) -> "PenaltyConfig":
-        streams = {}
-        for key, lam in lambdas.items():
-            streams[key] = (float(lam), int(orders.get(key, 1)))
-        return cls("arc2", streams=tuple(sorted(streams.items())))
+        return cls(
+            tuple(
+                ("arc2", key, float(lam), int(orders.get(key, 1)))
+                for key, lam in sorted(lambdas.items())
+            )
+        )
 
     @classmethod
     def ordering(
         cls, lambda1: float, lambda2: float, margin: float = 0.0
     ) -> "PenaltyConfig":
-        return cls("ordering", lambda1=lambda1, lambda2=lambda2, margin=margin)
+        return cls(orderings=((lambda1, lambda2, margin),))
 
     @classmethod
     def composite(cls, *parts: "PenaltyConfig") -> "PenaltyConfig":
-        flat: list[PenaltyConfig] = []
-        for p in parts:
-            flat.extend(p.parts if p.family == "composite" else [p])
-        return cls("composite", parts=tuple(flat))
+        return cls(
+            tuple(term for p in parts for term in p.blocks),
+            tuple(term for p in parts for term in p.orderings),
+        )
 
     @property
     def is_null(self) -> bool:
-        if self.family == "none":
-            return True
-        if self.family == "composite":
-            return all(p.is_null for p in self.parts)
-        return False
-
-    def static_parts(self) -> list["PenaltyConfig"]:
-        if self.family == "composite":
-            return [p for p in self.parts if p.family not in ("ordering", "none")]
-        if self.family in ("ordering", "none"):
-            return []
-        return [self]
-
-    def ordering_parts(self) -> list["PenaltyConfig"]:
-        if self.family == "composite":
-            return [p for p in self.parts if p.family == "ordering"]
-        if self.family == "ordering":
-            return [self]
-        return []
+        return not (self.blocks or self.orderings)
 
     def block_operators(
         self, spec: ModelSpec
     ) -> list[tuple[tuple[int, str], float, np.ndarray]]:
-        """Per-block operators: tau = sum lam * ||K beta_block||^2.
+        """Per-block operators of the block terms, in term order:
+        tau = sum lam * ||K beta_block||^2.
 
-        Ordering parts are excluded (their operator depends on beta).
+        Ordering terms are excluded (their operator depends on beta).
         """
         layout = spec.layout
+        pair = spec.pair
         out: list[tuple[tuple[int, str], float, np.ndarray]] = []
-        for part in self.static_parts():
-            if part.family in ("ridge", "arc1"):
-                for (k, var), lam in part.lambdas:
-                    b = _penalizable_block(layout, k, var)
-                    if b is None:
-                        continue
-                    if part.family == "ridge":
-                        K = np.eye(b.length)
-                    else:
-                        if b.length == 1:
-                            continue  # no differences on a singleton block
-                        K = difference_matrix(b.length, 1)
-                    out.append(((k, var), lam, K))
-            else:  # arc2
-                pair = spec.pair
-                for (h, var), (lam, order) in part.streams:
-                    if h not in (1, 2, 3, 4):
-                        raise ValueError(f"arc2 stream must be 1..4, got {h}")
-                    k = h if h <= 2 else 3
-                    b = _penalizable_block(layout, k, var)
-                    if b is None:
-                        continue
-                    if k <= 2:
-                        K = difference_matrix(b.length, order)
-                    elif h == 3:
-                        # differences across the first response's cuts
-                        K = np.kron(
-                            difference_matrix(pair.m1, order), np.eye(pair.m2)
-                        )
-                    else:
-                        K = np.kron(
-                            np.eye(pair.m1), difference_matrix(pair.m2, order)
-                        )
-                    out.append(((k, var), lam, K))
+        for family, (h, var), lam, order in self.blocks:
+            if family == "arc2" and h not in (1, 2, 3, 4):
+                raise ValueError(f"arc2 stream must be 1..4, got {h}")
+            k = min(h, 3) if family == "arc2" else h
+            b = _penalizable_block(layout, k, var)
+            if b is None:
+                continue
+            if family == "ridge":
+                K = np.eye(b.length)
+            elif family == "arc1":
+                if b.length == 1:
+                    continue  # no differences on a singleton block
+                K = difference_matrix(b.length, 1)
+            elif k <= 2:
+                K = difference_matrix(b.length, order)
+            elif h == 3:
+                # differences across the first response's cuts
+                K = np.kron(difference_matrix(pair.m1, order), np.eye(pair.m2))
+            else:
+                K = np.kron(np.eye(pair.m1), difference_matrix(pair.m2, order))
+            out.append(((k, var), lam, K))
         return out
 
 
@@ -201,14 +176,14 @@ def _penalizable_block(layout: ParamLayout, k: int, var: str):
 def build_penalty_matrix(config: PenaltyConfig, spec: ModelSpec) -> np.ndarray:
     """Assemble P with beta' P beta equal to the summed penalty.
 
-    Rejects the ordering family: its matrix depends on beta and the
-    data, see build_ordering_penalty.
+    Rejects ordering terms: their matrix depends on beta and the data,
+    see build_ordering_penalty.
     """
     return PenaltyOperator(config, spec).matrix()
 
 
 def penalty_value(config: PenaltyConfig, spec: ModelSpec, beta: np.ndarray) -> float:
-    """tau(beta) for static penalty families."""
+    """tau(beta) for a penalty of block terms."""
     return PenaltyOperator(config, spec).tau(np.asarray(beta, dtype=float))
 
 
@@ -223,7 +198,7 @@ class PenaltyOperator:
     """
 
     def __init__(self, config: PenaltyConfig, spec: ModelSpec):
-        if config.ordering_parts():
+        if config.orderings:
             raise ValueError("ordering penalty depends on beta")
         layout = spec.layout
         self.size = layout.size
@@ -352,26 +327,3 @@ def build_ordering_penalty(
     return ordering_state(
         X, weights, spec.pair, np.asarray(beta, dtype=float), lambda1, lambda2
     ).matrix()
-
-
-# ---------------------------------------------------------------------------
-# heavy-smoothing limits
-
-
-@dataclass(frozen=True)
-class LimitStructure:
-    """Association surface reached as both arc2 stream penalties grow."""
-
-    s3: int
-    s4: int
-    exponents: tuple[tuple[int, int], ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        exps = tuple(product(range(self.s3), range(self.s4)))
-        object.__setattr__(self, "exponents", exps)
-
-
-def arc2_limit_structure(s3: int, s4: int) -> LimitStructure:
-    if s3 < 1 or s4 < 1:
-        raise ValueError("difference orders must be >= 1")
-    return LimitStructure(s3, s4)

@@ -324,8 +324,14 @@ def test_lrtest_rejects_non_nested_pair(tmp_path):
 def test_lrtest_identical_models_give_null_test(tmp_path, monkeypatch):
     _refuse_fits(monkeypatch)
     same = {"uniform_association": True}
-    # with mc as well: an identical pair is the null test, not a refusal
-    for extra in ({}, {"mc": {}}):
+    arc1 = {"family": "arc1", "terms": [{"equation": 1, "lambda": 1.0}]}
+    # with mc as well: an identical pair is the null test, not a refusal;
+    # a one-part composite is the same penalty as its part
+    for extra in (
+        {},
+        {"mc": {}},
+        {"full_penalty": {"family": "composite", "parts": [arc1]}, "reduced_penalty": arc1},
+    ):
         cfg = write_json(
             tmp_path,
             "same.json",
@@ -655,8 +661,33 @@ def test_option_validation(tmp_path):
         main([])
 
 
+def test_profile_grid_overflow_is_a_config_error(tmp_path, capsys):
+    prof = write_json(
+        tmp_path,
+        "prof.json",
+        {"dataset": _OS_DATASET, "model": {}, "s_values": [1], "log_lambdas": [1, 400]},
+    )
+    for base in ([], ["--log-base", "1e200"]):
+        assert main(["profile", "--config", prof, "--out", str(tmp_path), *base]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "400" in err
+    for base in ("inf", "nan"):
+        assert main(["profile", "--config", prof, "--out", str(tmp_path), "--log-base", base]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def _with_penalty(penalty: dict) -> tuple[str, dict]:
     return "fit", {"dataset": {"path": "t.dat", "format": "table"}, "model": {}, "penalty": penalty}
+
+
+def _overflowing(job: tuple[str, dict]) -> tuple[str, str]:
+    """``job`` with its config as JSON text in which the string "1e400"
+    becomes a bare number literal, which json.load rounds to inf."""
+    command, config = job
+    return command, json.dumps(config).replace('"1e400"', "1e400")
+
+
+_HUGE_INT = 10**400  # a JSON integer with no float value
 
 
 _RIDGE_TERM = {"equation": 1, "lambda": 1.0}
@@ -664,7 +695,8 @@ _ARC2_TERM = {"stream": 3, "order": 1, "lambda": 1.0}
 _PROFILE = {"dataset": {"path": "t.dat", "format": "table"}, "model": {}, "s_values": [1]}
 
 # (case, (command, config), exit code): the schema's per-family penalty,
-# profile-grid and long-format rules, and no bare NaN or Infinity
+# profile-grid and long-format rules, and no bare NaN or Infinity and no
+# number that overflows to infinity
 _CONFIG_RULES = [
     ("ridge-no-terms", _with_penalty({"family": "ridge"}), 2),
     ("ridge-empty-terms", _with_penalty({"family": "ridge", "terms": []}), 2),
@@ -723,6 +755,21 @@ _CONFIG_RULES = [
         _with_penalty({"family": "arc1", "terms": [{**_RIDGE_TERM, "lambda": float("inf")}]}),
         2,
     ),
+    (
+        "ridge-lambda-overflows",
+        _overflowing(_with_penalty({"family": "ridge", "terms": [{**_RIDGE_TERM, "lambda": "1e400"}]})),
+        2,
+    ),
+    (
+        "ridge-lambda-integer-overflows",
+        _with_penalty({"family": "ridge", "terms": [{**_RIDGE_TERM, "lambda": _HUGE_INT}]}),
+        2,
+    ),
+    (
+        "null-calibration-lambda-overflows",
+        _overflowing(("simulate", {"experiment": "null_calibration", "lambdas": [0.0, "1e400"]})),
+        2,
+    ),
     ("none-with-terms", _with_penalty({"family": "none", "terms": [_RIDGE_TERM]}), 0),
     (
         "ridge-stray-lambda1",
@@ -739,8 +786,9 @@ def test_config_rules(tmp_path, capsys, job, rc):
     command, config = job
     (tmp_path / "t.dat").write_text("12 8 5\n7 14 9\n4 9 13\n")
     (tmp_path / "d.csv").write_text("a1,a2,count\n1,1,3\n2,2,4\n")
-    cfg = write_json(tmp_path, "cfg.json", config)
-    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == rc
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == rc
     if rc == 2:
         assert capsys.readouterr().err.startswith("error:")
 

@@ -14,7 +14,6 @@ from bolm.model_core import (
     ParamLayout,
     build_design_matrix,
     design_matrices,
-    flatten_index,
 )
 
 
@@ -39,13 +38,6 @@ def test_ordinal_pair_dimensions():
 def test_ordinal_pair_rejects_degenerate_sides():
     with pytest.raises(ValueError):
         OrdinalPair(1, 3)
-
-
-def test_flatten_index_row_major():
-    pair = OrdinalPair(4, 3)
-    seen = [flatten_index(r, c, pair) for r in (1, 2, 3) for c in (1, 2)]
-    assert seen == [1, 2, 3, 4, 5, 6]
-    assert flatten_index(3, 2, pair) == (3 - 1) * pair.m2 + 2
 
 
 def test_group_validates_counts():

@@ -181,6 +181,28 @@ def test_is_null_tracks_family_not_values():
     assert PenaltyConfig.composite(PenaltyConfig.none()).is_null
 
 
+def test_composite_concatenates_terms_in_part_order():
+    ridge = PenaltyConfig.ridge({(1, INTERCEPT): 0.3})
+    arc1 = PenaltyConfig.arc1({(3, INTERCEPT): 9.0})
+    order = PenaltyConfig.ordering(2.0, 3.0)
+    nested = PenaltyConfig.composite(PenaltyConfig.composite(ridge, order), arc1)
+    assert nested == PenaltyConfig.composite(ridge, order, arc1)
+    for cfg in (ridge, order, nested, PenaltyConfig.none()):
+        assert PenaltyConfig.composite(cfg) == cfg
+
+
+def test_block_operators_follow_part_order():
+    spec = covariate_spec()
+    ridge = PenaltyConfig.ridge({(1, INTERCEPT): 0.3})
+    arc1 = PenaltyConfig.arc1({(3, INTERCEPT): 9.0, (3, "x"): 4.0})
+    for parts in ((ridge, arc1), (arc1, ridge)):
+        ops = PenaltyConfig.composite(*parts).block_operators(spec)
+        expected = [op for part in parts for op in part.block_operators(spec)]
+        assert [(key, lam) for key, lam, _ in ops] == [(key, lam) for key, lam, _ in expected]
+        for (_, _, K), (_, _, K_part) in zip(ops, expected):
+            np.testing.assert_array_equal(K, K_part)
+
+
 def test_penalty_config_rejects_non_finite_values():
     nan, inf = float("nan"), float("inf")
     bad = [
@@ -196,7 +218,7 @@ def test_penalty_config_rejects_non_finite_values():
     for make in bad:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             make()
-    assert PenaltyConfig.arc1({(3, INTERCEPT): 1e300}).lambdas[0][1] == 1e300
+    assert PenaltyConfig.arc1({(3, INTERCEPT): 1e300}).blocks[0][2] == 1e300
 
 
 def test_build_penalty_matrix_rejects_ordering_family():

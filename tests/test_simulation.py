@@ -147,7 +147,7 @@ def test_smoothing_config_combines_differences_and_ordering():
     truth = default_loss_benchmark_truth()
     assert smoothing_config(truth.spec, 0.0).is_null
     cfg = smoothing_config(truth.spec, 5.0)
-    assert cfg.ordering_parts()
+    assert cfg.orderings
     targets = {key for key, lam, K in cfg.block_operators(truth.spec)}
     assert (3, INTERCEPT) in targets
     assert (1, "x") in targets and (2, "x") in targets and (3, "x") in targets
