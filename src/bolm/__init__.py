@@ -47,7 +47,6 @@ from .model_core import (
     INTERCEPT,
     Dataset,
     EquationTerms,
-    Group,
     ModelSpec,
     OrdinalPair,
     ParamLayout,
@@ -81,7 +80,6 @@ __all__ = [
     "FitOptions",
     "FitResult",
     "GeneratingModel",
-    "Group",
     "INTERCEPT",
     "IncompatibleEta",
     "LambdaNullSummary",

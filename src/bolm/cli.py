@@ -37,7 +37,6 @@ from .model_core import (
     INTERCEPT,
     Dataset,
     EquationTerms,
-    Group,
     ModelSpec,
     OrdinalPair,
     build_design_matrix,
@@ -418,12 +417,9 @@ def _build_dataset(dscfg: dict, base_dir: Path) -> tuple[Dataset, list[str], dic
             if not cov_names:
                 raise ConfigError("centering needs covariates")
             totals = dataset.count_matrix().sum(axis=1)
-            covs = dataset.covariate_matrix()
+            covs = dataset.covariates
             means = (totals[:, None] * covs).sum(axis=0) / totals.sum()
-            dataset = Dataset(
-                pair,
-                tuple(Group(g.covariates - means, g.counts) for g in dataset.groups),
-            )
+            dataset = Dataset(pair, covs - means, dataset.counts)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
     record = {
@@ -474,18 +470,24 @@ def _term_key(term: dict, key: str) -> tuple:
     return (term[key], INTERCEPT if var is None else var)
 
 
+def _block_term(family: str, term: dict, key: str) -> PenaltyConfig:
+    target = _term_key(term, key)
+    if family == "arc2":
+        return PenaltyConfig.arc2({target: float(term["lambda"])}, {target: int(term["order"])})
+    return getattr(PenaltyConfig, family)({target: float(term["lambda"])})
+
+
 def _parse_penalty(pcfg: dict | None) -> PenaltyConfig:
     """Map a schema-valid penalty config onto a PenaltyConfig."""
     family = "none" if pcfg is None else pcfg["family"]
     if family == "none":
         return PenaltyConfig.none()
     if family in ("ridge", "arc1", "arc2"):
+        # one block term per config term, repeats included: a penalty is
+        # a sum of terms, so a repeat adds to the block's smoothing
         key = "stream" if family == "arc2" else "equation"
-        lambdas = {_term_key(t, key): float(t["lambda"]) for t in pcfg["terms"]}
-        if family == "arc2":
-            orders = {_term_key(t, key): int(t["order"]) for t in pcfg["terms"]}
-            return PenaltyConfig.arc2(lambdas, orders)
-        return getattr(PenaltyConfig, family)(lambdas)
+        terms = sorted(pcfg["terms"], key=lambda t: _term_key(t, key))
+        return PenaltyConfig.composite(*(_block_term(family, t, key) for t in terms))
     if family == "ordering":
         return PenaltyConfig.ordering(
             float(pcfg["lambda1"]),

@@ -66,7 +66,6 @@ class FitOptions:
 @dataclass
 class FitResult:
     beta_hat: np.ndarray
-    layout: ParamLayout
     spec: ModelSpec
     penalty: PenaltyConfig
     dataset: Dataset
@@ -78,10 +77,17 @@ class FitResult:
     df_nominal: int
     iterations: int
     converged: bool
-    fisher_scoring_failed: bool
     failure_reason: str | None
     fitted_probs: np.ndarray
     lp_trace: tuple[float, ...]
+
+    @property
+    def layout(self) -> ParamLayout:
+        return self.spec.layout
+
+    @property
+    def fisher_scoring_failed(self) -> bool:
+        return not self.converged
 
     @property
     def se(self) -> np.ndarray:
@@ -551,7 +557,6 @@ def _fit_stack(
         results.append(
             FitResult(
                 beta_hat=beta[r],
-                layout=layout,
                 spec=spec,
                 penalty=penalty,
                 dataset=dataset,
@@ -563,7 +568,6 @@ def _fit_stack(
                 df_nominal=int(free_cells - round(e)) if np.isfinite(e) else -1,
                 iterations=int(iterations[r]),
                 converged=bool(converged[r]),
-                fisher_scoring_failed=not converged[r],
                 failure_reason=reasons[r],
                 fitted_probs=pi[r].reshape(dataset.n_groups, arrays.pair.d1, arrays.pair.d2),
                 lp_trace=tuple(traces[r]),
@@ -606,12 +610,11 @@ def unpenalized_fisher_batch(
     return out
 
 
-def deviance_g2(fit_result: FitResult, dataset: Dataset | None = None) -> float:
+def deviance_g2(fit_result: FitResult) -> float:
     """G^2 = 2 sum y log(y / (n pi_hat)), zero-count cells contribute 0."""
-    dataset = dataset if dataset is not None else fit_result.dataset
-    y = dataset.count_matrix()
+    y = fit_result.dataset.count_matrix()
     n = y.sum(axis=1)
-    pi = fit_result.fitted_probs.reshape(dataset.n_groups, -1)
+    pi = fit_result.fitted_probs.reshape(y.shape)
     expected = n[:, None] * pi
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(y > 0, y * np.log(np.where(y > 0, y / expected, 1.0)), 0.0)

@@ -130,19 +130,6 @@ def is_nested(reduced: ModelSpec, full: ModelSpec) -> bool:
     return True
 
 
-def _same_dataset(a: Dataset, b: Dataset) -> bool:
-    if a is b:
-        return True
-    if a.pair != b.pair or len(a.groups) != len(b.groups):
-        return False
-    for ga, gb in zip(a.groups, b.groups):
-        if not np.array_equal(ga.covariates, gb.covariates):
-            return False
-        if not np.array_equal(ga.counts, gb.counts):
-            return False
-    return True
-
-
 def lrp_statistic(full_fit: FitResult, reduced_fit: FitResult) -> float:
     """-2 times the penalized log-likelihood drop from full to reduced.
 
@@ -151,7 +138,7 @@ def lrp_statistic(full_fit: FitResult, reduced_fit: FitResult) -> float:
     the penalty difference; the two must agree to numerical noise, so a
     disagreement signals an inconsistent pair of fits rather than data.
     """
-    if not _same_dataset(full_fit.dataset, reduced_fit.dataset):
+    if full_fit.dataset != reduced_fit.dataset:
         raise ValueError("fits come from different datasets")
     if not is_nested(reduced_fit.spec, full_fit.spec):
         raise ValueError("reduced model is not nested in the full model")
@@ -160,15 +147,10 @@ def lrp_statistic(full_fit: FitResult, reduced_fit: FitResult) -> float:
     lp_reduced = reduced_fit.loglik - 0.5 * reduced_fit.penalty_value
     direct = -2.0 * (lp_reduced - lp_full)
 
-    crossed = 0.0
-    for g, group in enumerate(full_fit.dataset.groups):
-        y = group.counts.astype(float)
-        mask = y > 0
-        if not mask.any():
-            continue
-        log_full = np.log(full_fit.fitted_probs[g][mask])
-        log_red = np.log(reduced_fit.fitted_probs[g][mask])
-        crossed += float(y[mask] @ (log_full - log_red))
+    y = full_fit.dataset.counts
+    mask = y > 0
+    log_ratio = np.log(full_fit.fitted_probs[mask]) - np.log(reduced_fit.fitted_probs[mask])
+    crossed = float(y[mask] @ log_ratio)
     expanded = 2.0 * crossed + reduced_fit.penalty_value - full_fit.penalty_value
 
     tol = 1e-8 * max(1.0, abs(expanded)) + 1e-12 * (

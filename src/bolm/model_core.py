@@ -96,64 +96,57 @@ def _checked_counts(counts: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Group:
-    """Observations sharing one covariate profile.
+class Dataset:
+    """Grouped data: one d1 x d2 count table per distinct covariate profile.
 
-    counts is the full d1 x d2 contingency table for the profile; zero
-    cells are allowed but the group total must be positive.  Covariates
-    must be finite.
+    ``covariates`` is (G, k) and ``counts`` (G, d1, d2); row g of the
+    one is the profile of table g of the other.  Both are stored
+    read-only, as float and int64.  Zero cells are allowed, but each
+    group total must be positive; covariates must be finite and the
+    profiles distinct.  Two datasets are equal when their pairs and
+    arrays are.
     """
 
+    pair: OrdinalPair
     covariates: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        cov = np.asarray(self.covariates, dtype=float).reshape(-1)
-        if np.ndim(self.counts) != 2:
-            raise ValueError("counts must be a 2-d table")
+        shape = (self.pair.d1, self.pair.d2)
+        cov = np.array(self.covariates, dtype=float)
+        if np.ndim(self.counts) != 3 or np.shape(self.counts)[1:] != shape:
+            raise ValueError(
+                f"counts of shape {np.shape(self.counts)} are not "
+                f"(groups, {shape[0]}, {shape[1]}) tables"
+            )
+        if cov.ndim != 2 or len(cov) != len(self.counts):
+            raise ValueError(
+                f"covariates of shape {cov.shape} need one row for each of "
+                f"{len(self.counts)} count tables"
+            )
+        if not len(cov):
+            raise ValueError("dataset needs at least one group")
         cnt = _checked_counts(self.counts)
-        if cnt.sum() < 1:
+        if (cnt.sum(axis=(1, 2)) < 1).any():
             raise ValueError("each group needs a positive total count")
         if not np.isfinite(cov).all():
             raise ValueError("covariates must be finite")
-        object.__setattr__(self, "covariates", _freeze(cov))
-        object.__setattr__(self, "counts", _freeze(cnt))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Grouped data: one Group per distinct covariate profile."""
-
-    pair: OrdinalPair
-    groups: tuple[Group, ...]
-
-    def __post_init__(self) -> None:
-        groups = tuple(self.groups)
-        if not groups:
-            raise ValueError("dataset needs at least one group")
-        p = groups[0].covariates.size
-        for g in groups:
-            if g.counts.shape != (self.pair.d1, self.pair.d2):
-                raise ValueError(
-                    f"count table shape {g.counts.shape} does not match "
-                    f"({self.pair.d1}, {self.pair.d2})"
-                )
-            if g.covariates.size != p:
-                raise ValueError("covariate vectors must share one length")
-        # each group total fits in int64; summed as Python integers, the
-        # dataset total must too, so that pooled_counts cannot wrap
-        if sum(np.array([g.counts for g in groups]).sum(axis=(1, 2)).tolist()) >= 2**63:
-            raise ValueError("counts must sum to below 2**63")
-        first, _ = group_profiles(np.array([g.covariates for g in groups]))
-        if first.size != len(groups):
+        first, _ = group_profiles(cov)
+        if first.size != len(cov):
             raise ValueError(
                 "duplicate covariate profile; merge groups on ingestion"
             )
-        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "covariates", _freeze(cov))
+        object.__setattr__(self, "counts", _freeze(cnt))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self is other or (
+            self.pair == other.pair
+            and np.array_equal(self.covariates, other.covariates)
+            and np.array_equal(self.counts, other.counts)
+        )
 
     @classmethod
     def merged(
@@ -168,38 +161,32 @@ class Dataset:
         cannot pass as a count.
         """
         if not profiles:
-            return cls(pair, ())
+            return cls(pair, np.zeros((0, 0)), np.zeros((0, pair.d1, pair.d2)))
         covs = np.array([np.ravel(c) for c, _ in profiles], dtype=float)
         tables = _checked_counts(np.stack([t for _, t in profiles]))
         first, inverse = group_profiles(covs)
         sums = np.zeros((first.size,) + tables.shape[1:], dtype=np.int64)
         np.add.at(sums, inverse, tables)
-        return cls(pair, tuple(Group(covs[i], t) for i, t in zip(first, sums)))
+        return cls(pair, covs[first], sums)
 
     @property
     def n_groups(self) -> int:
-        return len(self.groups)
+        return len(self.counts)
 
     @property
     def n_total(self) -> int:
-        return sum(g.total for g in self.groups)
+        return int(self.counts.sum())
 
     @property
     def n_covariates(self) -> int:
-        return self.groups[0].covariates.size
+        return self.covariates.shape[1]
 
     def count_matrix(self) -> np.ndarray:
         """Counts stacked as an (n_groups, d1*d2) array, row-major cells."""
-        return np.array([g.counts.reshape(-1) for g in self.groups], dtype=float)
-
-    def covariate_matrix(self) -> np.ndarray:
-        return np.array([g.covariates for g in self.groups], dtype=float)
+        return self.counts.reshape(self.n_groups, -1).astype(float)
 
     def pooled_counts(self) -> np.ndarray:
-        out = np.zeros((self.pair.d1, self.pair.d2), dtype=np.int64)
-        for g in self.groups:
-            out = out + g.counts
-        return out
+        return self.counts.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -402,5 +389,5 @@ def design_matrices(spec: ModelSpec, dataset: Dataset) -> np.ndarray:
     if dataset.n_covariates != len(spec.covariate_names):
         raise ValueError("dataset and spec disagree on covariate count")
     X0, S = spec.affine_design
-    x = dataset.covariate_matrix()
+    x = dataset.covariates
     return X0 + (x @ S.reshape(len(S), X0.size)).reshape(len(x), *X0.shape)

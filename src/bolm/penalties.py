@@ -323,7 +323,7 @@ def build_ordering_penalty(
     Fisher-scoring step by the estimator.
     """
     X = design_matrices(spec, dataset)
-    weights = np.array([g.total for g in dataset.groups], dtype=float)
+    weights = dataset.counts.sum(axis=(1, 2)).astype(float)
     return ordering_state(
         X, weights, spec.pair, np.asarray(beta, dtype=float), lambda1, lambda2
     ).matrix()

@@ -26,7 +26,6 @@ from .model_core import (
     INTERCEPT,
     Dataset,
     EquationTerms,
-    Group,
     ModelSpec,
     OrdinalPair,
     group_profiles,
@@ -190,7 +189,7 @@ class GeneratingModel:
 
 def true_probs(gm: GeneratingModel, dataset: Dataset) -> np.ndarray:
     """True cell probabilities for each group of a sampled dataset."""
-    return gm.probs_for(dataset.covariate_matrix())
+    return gm.probs_for(dataset.covariates)
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -225,11 +224,8 @@ def sample_dataset(gm: GeneratingModel, seed: int, stream: int = 0) -> Dataset:
     pair = gm.spec.pair
     unique_rows = rows[first]
     probs = gm.probs_for(unique_rows)
-    groups = []
-    for g in range(first.size):
-        counts = _multinomial_counts(rng, sizes[g], probs[g])
-        groups.append(Group(unique_rows[g], counts.reshape(pair.d1, pair.d2)))
-    return Dataset(pair, tuple(groups))
+    counts = [_multinomial_counts(rng, n, p) for n, p in zip(sizes, probs)]
+    return Dataset(pair, unique_rows, np.reshape(counts, (-1, pair.d1, pair.d2)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +347,7 @@ class BenchmarkResult:
 
 
 def _expand_per_observation(dataset: Dataset, probs: np.ndarray) -> np.ndarray:
-    reps = [g.total for g in dataset.groups]
+    reps = dataset.counts.sum(axis=(1, 2))
     return np.repeat(probs.reshape(dataset.n_groups, -1), reps, axis=0)
 
 

@@ -295,8 +295,8 @@ def test_criterion6b_score_vs_finite_differences():
         else:
             penalty = PenaltyConfig.none()
         P = build_penalty_matrix(penalty, spec)
-        X = np.stack([build_design_matrix(spec, g.covariates) for g in dataset.groups])
-        y = np.stack([g.counts.reshape(-1) for g in dataset.groups]).astype(float)
+        X = np.stack([build_design_matrix(spec, x) for x in dataset.covariates])
+        y = dataset.counts.reshape(dataset.n_groups, -1).astype(float)
 
         def lp(beta):
             pi = eta_to_pi_batch(X @ beta, pair)
@@ -360,8 +360,8 @@ def test_criterion6c_matrix_vs_sum():
             {(3, INTERCEPT): 2, (4, INTERCEPT): 1},
         ),
     }
-    X = np.stack([build_design_matrix(spec, g.covariates) for g in dataset.groups])
-    weights = np.array([g.total for g in dataset.groups], dtype=float)
+    X = np.stack([build_design_matrix(spec, x) for x in dataset.covariates])
+    weights = dataset.counts.sum(axis=(1, 2)).astype(float)
     M = marginal_difference_selector(pair)
     lam_vec = np.concatenate([np.full(pair.m1 - 1, 0.8), np.full(pair.m2 - 1, 0.5)])
     worst = 0.0
@@ -375,7 +375,7 @@ def test_criterion6c_matrix_vs_sum():
         beta = rng.normal(0.0, 0.3, size=p)
         P = build_ordering_penalty(spec, dataset, beta, 0.8, 0.5)
         tau_sum = 0.0
-        for g_idx in range(len(dataset.groups)):
+        for g_idx in range(dataset.n_groups):
             v = M @ (X[g_idx] @ beta)
             tau_sum += weights[g_idx] * float(
                 (lam_vec * v * v * (v <= 0.0)).sum()

@@ -76,6 +76,51 @@ def test_fit_report_and_association_surface(tmp_path):
     assert all(math.isfinite(float(v)) for _, _, v in rows)
 
 
+def _ridge_fit(tmp_path: Path, lambdas: list[float]) -> tuple[int, dict]:
+    """Exit code and fit_report.json of the occupational-status table with
+    one ridge term on the association intercepts per entry of ``lambdas``."""
+    name = "ridge_" + "_".join(map(str, lambdas))
+    cfg = write_json(
+        tmp_path,
+        f"{name}.json",
+        {
+            "dataset": {"path": str(REPO / "data" / "occupational_status.dat"), "format": "table"},
+            "model": {},
+            "penalty": {
+                "family": "ridge",
+                "terms": [{"equation": 3, "lambda": lam} for lam in lambdas],
+            },
+        },
+    )
+    out = tmp_path / name
+    rc = main(["fit", "--config", cfg, "--out", str(out)])
+    assert rc in (0, 3)
+    return rc, json.loads((out / "fit_report.json").read_text())
+
+
+def _estimates(report: dict) -> list[float]:
+    return [e["estimate"] for e in report["estimates"]]
+
+
+@pytest.mark.parametrize("lam", [5.0, 500.0])
+def test_repeated_penalty_terms_add_up(tmp_path, lam):
+    # a penalty is a sum of terms, so a repeated block keeps every term:
+    # a zero term changes no bit, and two terms act as their sum
+    rc, alone = _ridge_fit(tmp_path, [lam])
+    assert alone["penalty_value"] > 0.0 and alone["edf"] < 48.0
+    rc_zero, with_zero = _ridge_fit(tmp_path, [lam, 0.0])
+    assert len(with_zero["penalty"]["terms"]) == 2
+    assert rc_zero == rc
+    assert _estimates(with_zero) == _estimates(alone)
+    for key in ("penalty_value", "edf", "aic"):
+        assert with_zero[key] == alone[key]
+    rc_split, split = _ridge_fit(tmp_path, [0.4 * lam, 0.6 * lam])
+    assert rc_split == rc
+    np.testing.assert_allclose(_estimates(split), _estimates(alone), rtol=1e-8)
+    for key in ("penalty_value", "edf", "aic"):
+        assert split[key] == pytest.approx(alone[key], rel=1e-8)
+
+
 def test_unknown_config_keys_rejected(tmp_path, capsys):
     base = {
         "dataset": {"path": str(REPO / "data/occupational_status.dat"), "format": "table"},
@@ -606,11 +651,11 @@ def test_fit_failure_writes_report_and_exits_3(tmp_path, capsys):
     truth = default_loss_benchmark_truth(n=400)
     dataset = sample_dataset(truth, seed=20260816, stream=0)
     lines = ["a1,a2,x,count"]
-    for group in dataset.groups:
-        x = repr(float(group.covariates[0]))
+    for covariates, counts in zip(dataset.covariates, dataset.counts):
+        x = repr(float(covariates[0]))
         for r in range(3):
             for c in range(3):
-                lines.append(f"{r + 1},{c + 1},{x},{group.counts[r, c]}")
+                lines.append(f"{r + 1},{c + 1},{x},{counts[r, c]}")
     (tmp_path / "hard.csv").write_text("\n".join(lines) + "\n")
     cfg = write_json(
         tmp_path,

@@ -18,7 +18,6 @@ from bolm.model_core import (
     INTERCEPT,
     Dataset,
     EquationTerms,
-    Group,
     ModelSpec,
     OrdinalPair,
     ParamLayout,
@@ -41,7 +40,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 def os_dataset() -> Dataset:
     counts = np.loadtxt(DATA / "occupational_status.dat", dtype=np.int64)
-    return Dataset(OrdinalPair(7, 7), (Group(np.array([]), counts),))
+    return Dataset(OrdinalPair(7, 7), np.zeros((1, 0)), counts[None])
 
 
 def nupom_spec(pair: OrdinalPair) -> ModelSpec:
@@ -57,10 +56,10 @@ def upom_spec(pair: OrdinalPair) -> ModelSpec:
 def loglik_from_cells(beta, dataset, spec) -> float:
     """Multinomial log likelihood straight from the model map."""
     total = 0.0
-    for g in dataset.groups:
-        X = build_design_matrix(spec, g.covariates)
+    for x, y in zip(dataset.covariates, dataset.counts):
+        X = build_design_matrix(spec, x)
         pi = eta_to_pi(X @ beta, spec.pair).reshape(-1)
-        total += float(g.counts.reshape(-1) @ np.log(pi))
+        total += float(y.reshape(-1) @ np.log(pi))
     return total
 
 
@@ -125,7 +124,7 @@ def test_unpenalized_saturated_association_fits_exactly():
     assert res.deviance_g2 == pytest.approx(0.0, abs=1e-6)
     assert res.aic == pytest.approx(22255.60, abs=1.0)
     # fitted cells equal observed fractions at the saturated optimum
-    observed = dataset.groups[0].counts.reshape(-1)
+    observed = dataset.counts[0].reshape(-1)
     np.testing.assert_allclose(
         res.fitted_probs.reshape(-1), observed / observed.sum(), atol=1e-8
     )
@@ -230,7 +229,7 @@ def _information_cases():
     wide = sample_dataset(truth, seed=11, stream=0)
     assert wide.n_groups == 400
     table = os_dataset()
-    smoothed = table.groups[0].counts + 0.5
+    smoothed = table.counts[0] + 0.5
     # the saturated spec maps beta straight onto eta without the null row
     beta_os = pi_to_eta(smoothed / smoothed.sum())[1:]
     return [
@@ -267,11 +266,11 @@ def test_derivatives_match_per_group_loop():
         score, info = arrays.derivatives(pi)
         ref_score = np.zeros(beta0.size)
         ref_info = np.zeros((beta0.size, beta0.size))
-        for g, pi_g in zip(dataset.groups, pi):
-            B = d_pi_d_eta(pi_g, spec.pair) @ build_design_matrix(spec, g.covariates)
-            y = g.counts.reshape(-1)
+        for x, counts, pi_g in zip(dataset.covariates, dataset.counts, pi):
+            B = d_pi_d_eta(pi_g, spec.pair) @ build_design_matrix(spec, x)
+            y = counts.reshape(-1)
             ref_score += B.T @ (y / pi_g)
-            ref_info += g.total * B.T @ np.diag(1.0 / pi_g) @ B
+            ref_info += y.sum() * B.T @ np.diag(1.0 / pi_g) @ B
         np.testing.assert_allclose(
             score, ref_score, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_score))
         )
@@ -283,7 +282,7 @@ def test_derivatives_match_per_group_loop():
 def test_deviance_matches_direct_formula():
     dataset = os_dataset()
     res = fit(dataset, upom_spec(dataset.pair))
-    y = dataset.groups[0].counts.reshape(-1).astype(float)
+    y = dataset.counts[0].reshape(-1).astype(float)
     expected = y.sum() * res.fitted_probs.reshape(-1)
     direct = 2.0 * float(np.sum(y[y > 0] * np.log(y[y > 0] / expected[y > 0])))
     assert deviance_g2(res) == pytest.approx(direct, rel=1e-12)
@@ -425,8 +424,8 @@ def test_fit_batch_isolates_a_rank_deficient_replicate():
     rng = np.random.default_rng(5)
 
     def dataset(rows):
-        groups = (Group(np.array(r, float), rng.integers(5, 30, (3, 3))) for r in rows)
-        return Dataset(pair, tuple(groups))
+        counts = [rng.integers(5, 30, (3, 3)) for _ in rows]
+        return Dataset(pair, np.array(rows, float), np.array(counts))
 
     full_rank = [(0, 0), (1, 0), (0, 1)]
     datasets = [dataset(full_rank), dataset(full_rank), dataset([(0, 1), (1, 1), (2, 1)]),

@@ -8,7 +8,6 @@ from bolm.model_core import (
     INTERCEPT,
     Dataset,
     EquationTerms,
-    Group,
     ModelSpec,
     OrdinalPair,
     ParamLayout,
@@ -40,18 +39,29 @@ def test_ordinal_pair_rejects_degenerate_sides():
         OrdinalPair(1, 3)
 
 
-def test_group_validates_counts():
-    with pytest.raises(ValueError):
-        Group(np.array([0.0]), np.array([1, 2, 3]))
-    with pytest.raises(ValueError):
-        Group(np.array([0.0]), np.array([[1.5, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        Group(np.array([0.0]), np.array([[-1, 2], [3, 4]]))
-    with pytest.raises(ValueError):
-        Group(np.array([0.0]), np.zeros((2, 2)))
-    g = Group(np.array([1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert g.counts.dtype == np.int64
-    assert g.total == 10
+def test_dataset_validates_counts():
+    pair = OrdinalPair(2, 2)
+
+    def one_group(table):
+        return Dataset(pair, np.array([[0.0]]), np.asarray(table)[None])
+
+    with pytest.raises(ValueError, match="tables"):
+        one_group([1, 2, 3])
+    with pytest.raises(ValueError, match="integers"):
+        one_group([[1.5, 2.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        one_group([[-1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="positive total"):
+        one_group(np.zeros((2, 2)))
+    table = np.array([[1.0, 2.0], [3.0, 4.0]])
+    ds = one_group(table)
+    assert ds.counts.dtype == np.int64
+    assert ds.n_total == 10
+    # the stored arrays are read-only copies; the caller's stay writeable
+    assert not (ds.counts.flags.writeable or ds.covariates.flags.writeable)
+    covariates = np.array([[0.0]])
+    Dataset(pair, covariates, table[None])
+    assert covariates.flags.writeable and table.flags.writeable
     # totals that int64 cannot hold are range errors, not wrapped counts
     for big in (
         np.array([[2**63, 1], [1, 1]], dtype=np.uint64),
@@ -59,33 +69,43 @@ def test_group_validates_counts():
         np.array([[2.0**62, 2.0**62], [0.0, 0.0]]),
     ):
         with pytest.raises(ValueError, match=r"below 2\*\*63"):
-            Group(np.array([0.0]), big)
-    g = Group(np.array([0.0]), np.array([[2**62, 2**62 - 1], [0, 0]], dtype=np.uint64))
-    assert g.total == 2**63 - 1
+            one_group(big)
+    ds = one_group(np.array([[2**62, 2**62 - 1], [0, 0]], dtype=np.uint64))
+    assert ds.n_total == 2**63 - 1
 
 
 def test_dataset_rejects_duplicate_profiles_and_shape_mismatch():
     pair = OrdinalPair(2, 2)
     table = np.array([[3, 4], [5, 6]])
+    tables = np.array([table, table])
     with pytest.raises(ValueError):
-        Dataset(pair, (Group(np.array([1.0]), table), Group(np.array([1.0]), table)))
+        Dataset(pair, np.array([[1.0], [1.0]]), tables)
     with pytest.raises(ValueError):
-        Dataset(pair, (Group(np.array([1.0]), np.array([[1, 2, 3], [4, 5, 6]])),))
+        Dataset(pair, np.array([[1.0]]), np.array([[[1, 2, 3], [4, 5, 6]]]))
     # profiles are equal by value: 0.0 and -0.0 are one profile
     with pytest.raises(ValueError, match="duplicate"):
-        Dataset(pair, (Group(np.array([0.0]), table), Group(np.array([-0.0]), table)))
+        Dataset(pair, np.array([[0.0], [-0.0]]), tables)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="covariates must be finite"):
-            Dataset(pair, (Group(np.array([bad]), table),))
+            Dataset(pair, np.array([[bad]]), tables[:1])
+    # the two arrays must pair up: one 2-d covariate row per (d1, d2) table
+    with pytest.raises(ValueError, match=r"\(groups, 2, 2\) tables"):
+        Dataset(pair, np.array([[1.0]]), table)
+    with pytest.raises(ValueError, match="one row for each of 2 count tables"):
+        Dataset(pair, np.array([1.0, 2.0]), tables)
+    # four rows for two tables: reshaping them to (2, 2) would re-pair rows
+    with pytest.raises(ValueError, match="one row for each of 2 count tables"):
+        Dataset(pair, np.arange(4.0).reshape(4, 1), tables)
+    with pytest.raises(ValueError, match="at least one group"):
+        Dataset.merged(pair, [])
 
 
 def test_dataset_rejects_a_total_count_beyond_int64():
-    # each group passes its own range check; the pooled table would wrap
+    # each table passes its own range check; the pooled table would wrap
     pair = OrdinalPair(2, 2)
     table = np.array([[2**62, 0], [0, 1]])
-    groups = (Group(np.array([0.0]), table), Group(np.array([1.0]), table))
     with pytest.raises(ValueError, match=r"counts must sum to below 2\*\*63"):
-        Dataset(pair, groups)
+        Dataset(pair, np.array([[0.0], [1.0]]), np.array([table, table]))
 
 
 def test_layout_size_nunpom_vs_upom():
@@ -164,11 +184,11 @@ def test_design_matrices_equal_the_per_group_build():
     plain = ModelSpec(pair, (), EquationTerms(), EquationTerms(), EquationTerms())
     for spec in (spec_33(), spec_33(uniform=True, cat_dep=False), mixed, plain):
         k = len(spec.covariate_names)
-        groups = [Group(rng.normal(scale=3.0, size=k) if k else np.array([]),
-                        rng.integers(1, 9, (spec.pair.d1, spec.pair.d2)))
+        groups = [(rng.normal(scale=3.0, size=k) if k else np.array([]),
+                   rng.integers(1, 9, (spec.pair.d1, spec.pair.d2)))
                   for _ in range(6 if k else 1)]
-        dataset = Dataset(spec.pair, tuple(groups))
-        per_group = np.stack([build_design_matrix(spec, g.covariates) for g in groups])
+        dataset = Dataset.merged(spec.pair, groups)
+        per_group = np.stack([build_design_matrix(spec, x) for x, _ in groups])
         assert np.array_equal(design_matrices(spec, dataset), per_group)
 
 
@@ -198,7 +218,7 @@ def test_merged_accumulates_counts_by_profile():
         ],
     )
     assert ds.n_groups == 2
-    np.testing.assert_array_equal(ds.groups[0].counts, [[1, 2], [3, 1]])
+    np.testing.assert_array_equal(ds.counts[0], [[1, 2], [3, 1]])
     # -0.0 joins the 0.0 profile, which keeps its first-seen covariates
     ds = Dataset.merged(
         pair,
@@ -209,12 +229,12 @@ def test_merged_accumulates_counts_by_profile():
         ],
     )
     assert ds.n_groups == 2
-    assert not np.signbit(ds.groups[0].covariates[0])
-    np.testing.assert_array_equal(ds.groups[0].counts, [[1, 2], [3, 1]])
+    assert not np.signbit(ds.covariates[0, 0])
+    np.testing.assert_array_equal(ds.counts[0], [[1, 2], [3, 1]])
     # tables without covariates are one profile
     ds = Dataset.merged(pair, [((), np.eye(2)), ((), np.ones((2, 2)))])
     assert ds.n_groups == 1
-    np.testing.assert_array_equal(ds.groups[0].counts, [[2, 1], [1, 2]])
+    np.testing.assert_array_equal(ds.counts[0], [[2, 1], [1, 2]])
     # non-integer, negative or non-finite tables are refused, not truncated,
     # also where the sum would be a valid count
     for bad in (

@@ -5,7 +5,6 @@ from bolm.model_core import (
     INTERCEPT,
     Dataset,
     EquationTerms,
-    Group,
     ModelSpec,
     OrdinalPair,
     ParamLayout,
@@ -233,7 +232,7 @@ def test_ordering_state_counts_only_violations():
     spec = intercept_spec(3, 3)
     layout = ParamLayout(spec)
     counts = np.array([[5, 3, 2], [2, 4, 3], [1, 2, 5]])
-    dataset = Dataset(spec.pair, (Group(np.array([]), counts),))
+    dataset = Dataset.merged(spec.pair, [((), counts)])
     X = design_matrices(spec, dataset)
     weights = np.array([float(counts.sum())])
 
@@ -258,7 +257,7 @@ def test_ordering_margin_shifts_the_violation_boundary():
     spec = intercept_spec(3, 3)
     layout = ParamLayout(spec)
     counts = np.full((3, 3), 2)
-    dataset = Dataset(spec.pair, (Group(np.array([]), counts),))
+    dataset = Dataset.merged(spec.pair, [((), counts)])
     X = design_matrices(spec, dataset)
     weights = np.array([float(counts.sum())])
     beta = np.zeros(layout.size)

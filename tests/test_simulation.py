@@ -79,15 +79,14 @@ def test_sample_dataset_reproducible_per_stream():
     b = sample_dataset(truth, seed=9, stream=4)
     c = sample_dataset(truth, seed=9, stream=5)
     assert a.pair == truth.spec.pair
-    assert sum(g.total for g in a.groups) == 300
+    assert a.n_total == 300
     assert a.n_groups <= 2  # bernoulli covariate: two profiles at most
-    for ga, gb in zip(a.groups, b.groups):
-        np.testing.assert_array_equal(ga.counts, gb.counts)
-        np.testing.assert_array_equal(ga.covariates, gb.covariates)
-    assert any(
-        not np.array_equal(ga.counts, gc.counts)
-        for ga, gc in zip(a.groups, c.groups)
-    )
+    np.testing.assert_array_equal(a.counts, b.counts)
+    np.testing.assert_array_equal(a.covariates, b.covariates)
+    assert not np.array_equal(a.counts, c.counts)
+    # datasets compare by value
+    assert a == b and a is not b
+    assert a != c
 
 
 @pytest.mark.parametrize(
@@ -107,9 +106,9 @@ def test_sample_dataset_groups_rows_by_first_sight(truth):
             first_rows.setdefault(key, row)
             sizes[key] = sizes.get(key, 0) + 1
         np.testing.assert_array_equal(
-            dataset.covariate_matrix(), np.array(list(first_rows.values()))
+            dataset.covariates, np.array(list(first_rows.values()))
         )
-        assert [g.total for g in dataset.groups] == list(sizes.values())
+        assert dataset.counts.sum(axis=(1, 2)).tolist() == list(sizes.values())
 
 
 def test_true_probs_are_distributions():
