@@ -28,6 +28,8 @@ reject, and changes no result.  A one-group fit never screens.
 
 Beta-dependent penalties (the ordering terms) are re-expanded around
 the current iterate once per scoring step and held fixed within it.
+``penalties.StepPenalty`` holds the penalty of a step, and the noise
+floor that the score is tested against.
 
 ``fit_batch`` runs the iteration for several datasets in lockstep on a
 leading replicate axis; ``fit`` is a batch of one.  Every replicate gets
@@ -45,13 +47,7 @@ from scipy.special import logit
 
 from .link_map import IncompatibleEta, _cells_unchecked, d_pi_d_eta_batch
 from .model_core import Dataset, ModelSpec, ParamLayout, design_matrices
-from .penalties import OrderingState, PenaltyConfig, PenaltyOperator, ordering_state
-
-# Heavy difference penalties make the exact score cancel catastrophically:
-# (P beta)_j carries rounding noise of order eps * (|P| |beta|)_j, which for
-# lambda >= ~1e8 exceeds any fixed tolerance.  Convergence therefore tests
-# each score component against max(grad_tol, noise floor of that component).
-_NOISE_SAFETY = 32.0
+from .penalties import PenaltyConfig, StepPenalty, ordering_state
 
 
 @dataclass(frozen=True)
@@ -240,83 +236,6 @@ def default_start(dataset: Dataset, spec: ModelSpec) -> np.ndarray:
     return beta
 
 
-class _FrozenPenalty:
-    """Static penalty plus ordering states frozen at one iterate.
-
-    Evaluations take one coefficient row per replicate and run through
-    the factored operators; the assembled matrix is only used inside the
-    Fisher solve, where no cancellation occurs.  Without ordering terms
-    nothing depends on the iterate and every replicate shares the static
-    matrix; otherwise ``states`` holds each replicate's ordering states
-    and P is (R, p, p).
-    """
-
-    def __init__(
-        self,
-        static: PenaltyOperator,
-        static_P: np.ndarray,
-        states: list[list[OrderingState]] | None = None,
-    ):
-        self.static = static
-        self.states = states
-        if states is None:
-            self.P = static_P
-        else:
-            self.P = np.stack([static_P + sum(st.matrix() for st in sts) for sts in states])
-        self.abs_P = np.abs(self.P)
-
-    def __getitem__(self, keep: np.ndarray) -> "_FrozenPenalty":
-        """The replicates flagged in the boolean mask ``keep``."""
-        if self.states is None:
-            return self
-        out = _FrozenPenalty.__new__(_FrozenPenalty)
-        out.static = self.static
-        out.states = [sts for sts, k in zip(self.states, keep) if k]
-        out.P, out.abs_P = self.P[keep], self.abs_P[keep]
-        return out
-
-    def tau(self, beta: np.ndarray) -> np.ndarray:
-        out = self.static.tau(beta)
-        if self.states is not None:
-            out = out + np.array(
-                [sum(st.tau(b) for st in sts) for sts, b in zip(self.states, beta)]
-            )
-        return out
-
-    def grad(self, beta: np.ndarray) -> np.ndarray:
-        """Gradient of tau / 2, that is P beta - q."""
-        out = self.static.grad(beta)
-        for r, sts in enumerate(self.states or ()):
-            for st in sts:
-                out[r] = out[r] + st.grad(beta[r])
-        return out
-
-    def score_tolerance(self, beta: np.ndarray, grad_tol: float) -> np.ndarray:
-        bound = (self.abs_P @ np.abs(beta)[..., None])[..., 0]
-        if self.states is not None:
-            bound = bound + np.array([sum(st.q_bound() for st in sts) for sts in self.states])
-        floor = _NOISE_SAFETY * np.finfo(float).eps * bound
-        return np.maximum(grad_tol, floor)
-
-
-def _freeze_penalty(
-    arrays: _Arrays,
-    static: PenaltyOperator,
-    static_P: np.ndarray,
-    ordering: tuple[tuple[float, float, float], ...],
-    beta: np.ndarray,
-) -> _FrozenPenalty:
-    """The penalty of one scoring step, with ordering states at ``beta``."""
-    states = [
-        [
-            ordering_state(X, n, arrays.pair, b, lambda1, lambda2, margin)
-            for lambda1, lambda2, margin in ordering
-        ]
-        for X, n, b in zip(arrays.X, arrays.n, beta)
-    ]
-    return _FrozenPenalty(static, static_P, states)
-
-
 def _feasible_start(
     arrays: _Arrays, start: np.ndarray, fallback: np.ndarray, allow_blend: bool
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -341,7 +260,7 @@ def _feasible_start(
 
 def _step_halving(
     arrays: _Arrays,
-    frozen: _FrozenPenalty,
+    frozen: StepPenalty,
     beta: np.ndarray,
     direction: np.ndarray,
     lp: np.ndarray,
@@ -421,11 +340,10 @@ def fit_batch(
     penalty = penalty if penalty is not None else PenaltyConfig.none()
     options = options if options is not None else FitOptions()
     datasets = list(datasets)
-    static = PenaltyOperator(PenaltyConfig(penalty.blocks), spec)
     results: list[FitResult] = [None] * len(datasets)  # type: ignore[list-item]
     for members in _by_group_count(datasets):
         stack = [datasets[r] for r in members]
-        for r, res in zip(members, _fit_stack(stack, spec, penalty, static, options)):
+        for r, res in zip(members, _fit_stack(stack, spec, penalty, options)):
             results[r] = res
     return results
 
@@ -443,17 +361,18 @@ def _fit_stack(
     datasets: list[Dataset],
     spec: ModelSpec,
     penalty: PenaltyConfig,
-    static: PenaltyOperator,
     options: FitOptions,
 ) -> list[FitResult]:
     """Fisher scoring on datasets that share a group count."""
     arrays = _Arrays.stacked(datasets, spec)
     layout = spec.layout
     R = len(datasets)
-    static_P = static.matrix()
     ordering = penalty.orderings
-    # without ordering terms the penalty never changes
-    fixed = None if ordering else _FrozenPenalty(static, static_P)
+    step = StepPenalty(penalty, spec)
+
+    def freeze(arrays: _Arrays, beta: np.ndarray) -> StepPenalty:
+        # without ordering terms the penalty never changes
+        return ordering_state(step, arrays.X, arrays.n, beta) if ordering else step
 
     beta = np.stack([default_start(ds, spec) for ds in datasets])
     if options.start is None:
@@ -488,9 +407,7 @@ def _fit_stack(
         return keep
 
     for _ in range(options.max_iter):
-        frozen = fixed if fixed is not None else _freeze_penalty(
-            work, static, static_P, ordering, b
-        )
+        frozen = freeze(work, b)
         lp = ll_w - 0.5 * frozen.tau(b)
         for r, value in zip(live.tolist(), lp.tolist()):
             traces[r].append(value)
@@ -530,9 +447,7 @@ def _fit_stack(
             )
         retire(np.ones(live.size, dtype=bool))
 
-    frozen = fixed if fixed is not None else _freeze_penalty(
-        arrays, static, static_P, ordering, beta
-    )
+    frozen = freeze(arrays, beta)
     tau_hat = frozen.tau(beta)
     _, info = arrays.derivatives(pi)
     H = info + frozen.P

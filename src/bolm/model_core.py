@@ -89,8 +89,9 @@ def _checked_counts(counts: np.ndarray) -> np.ndarray:
             raise ValueError("counts must be integers")
     if (cnt < 0).any():
         raise ValueError("counts must be nonnegative")
-    # summed as Python integers, which do not wrap as int64 and uint64 do
-    if cnt.astype(object).sum() >= 2**63:
+    # summed as Python integers, which do not wrap as int64 and uint64 do,
+    # once a float sum, off by far less than a factor 2, comes near 2**63
+    if cnt.sum(dtype=np.float64) >= 2.0**62 and cnt.astype(object).sum() >= 2**63:
         raise ValueError("counts must sum to below 2**63")
     return cnt.astype(np.int64)
 

@@ -31,6 +31,7 @@ array([[-1.,  1.,  0.,  0.],
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -251,62 +252,111 @@ def marginal_difference_selector(pair: OrdinalPair) -> np.ndarray:
     return np.array(rows) if rows else np.zeros((0, pair.n_eta))
 
 
-@dataclass(frozen=True)
-class OrderingState:
-    """Ordering penalty with the violation set frozen at one iterate.
+# Heavy difference penalties make the exact score cancel catastrophically:
+# (P beta)_j carries rounding noise of order eps * (|P| |beta|)_j, which for
+# lambda >= ~1e8 exceeds any fixed tolerance.  Convergence therefore tests
+# each score component against max(grad_tol, noise floor of that component).
+_NOISE_SAFETY = 32.0
 
-    tau(b) = sum coef * (Gb - margin)^2 over the frozen violations; grad
-    and tau are evaluated through the rows of G so heavy smoothing values
-    do not wash out the small residuals Gb - margin.
+
+class StepPenalty:
+    """The penalty of one Fisher-scoring step for a stack of replicates.
+
+    Built from a config, it holds the block terms in factored form (see
+    PenaltyOperator) and their matrix P, shared by every replicate.
+    ``ordering_state`` freezes the ordering terms at one coefficient row
+    per replicate: G = M X, (R, groups, rows, p), and one violation
+    weight array (R, groups, rows) per term, zero off the violations.
+    Frozen, tau(b) adds sum coef * (G b - margin)^2 per term and P is
+    (R, p, p).  tau and grad run through the rows of G, so heavy
+    smoothing values do not wash out the small residuals G b - margin;
+    the assembled P is only used inside the Fisher solve, where no
+    cancellation occurs.  Evaluations take one coefficient row per
+    replicate and give each the bits it would get alone.
     """
 
-    G: np.ndarray      # (groups, rows, params)
-    coef: np.ndarray   # (groups, rows), zero off the violation set
-    margin: float
+    def __init__(self, config: PenaltyConfig, spec: ModelSpec):
+        self.static = PenaltyOperator(PenaltyConfig(config.blocks), spec)
+        self.orderings = config.orderings
+        self.pair = spec.pair
+        self.P = self.static.matrix()
+        self.G = None  # until ordering_state freezes the ordering terms
+        self.coefs: tuple[np.ndarray, ...] = ()
 
-    def tau(self, beta: np.ndarray) -> float:
-        v = self.G @ beta - self.margin
-        return float((self.coef * v * v).sum())
+    def _frozen(self, G, coefs, P=None) -> "StepPenalty":
+        """A copy with ordering terms G and coefs; P is assembled unless given."""
+        out = copy.copy(self)
+        out.G, out.coefs = G, coefs
+        if P is None:
+            rows, weights = out._rows()
+            P = self.P + sum(rows.mT @ (rows * w.mT) for w in weights)
+        out.P = P
+        return out
 
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """G and coef with groups and rows stacked: (g*r, p) and (g*r,)."""
-        return self.G.reshape(-1, self.G.shape[-1]), self.coef.ravel()
+    def __getitem__(self, keep: np.ndarray) -> "StepPenalty":
+        """The replicates flagged in the boolean mask ``keep``."""
+        if self.G is None:
+            return self
+        return self._frozen(self.G[keep], tuple(c[keep] for c in self.coefs), self.P[keep])
+
+    def _rows(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """G and each term's weights with groups and rows stacked:
+        (R, groups * rows, p) and (R, 1, groups * rows)."""
+        R = len(self.G)
+        return self.G.reshape(R, -1, self.G.shape[-1]), [c.reshape(R, 1, -1) for c in self.coefs]
+
+    def tau(self, beta: np.ndarray) -> np.ndarray:
+        out = self.static.tau(beta)
+        if self.G is None:
+            return out
+        total = 0
+        for (_, _, margin), coef in zip(self.orderings, self.coefs):
+            v = (self.G @ beta[:, None, :, None])[..., 0] - margin
+            total = total + (coef * v * v).sum(axis=(-2, -1))
+        return out + total
 
     def grad(self, beta: np.ndarray) -> np.ndarray:
-        """P beta - q, the gradient of tau / 2."""
-        G, coef = self._rows()
-        return (coef * (G @ beta - self.margin)) @ G
+        """Gradient of tau / 2, that is P beta - q."""
+        out = self.static.grad(beta)
+        if self.G is None:
+            return out
+        G, weights = self._rows()
+        for (_, _, margin), w in zip(self.orderings, weights):
+            out = out + ((w * ((G @ beta[..., None]).mT - margin)) @ G)[:, 0]
+        return out
 
-    def matrix(self) -> np.ndarray:
-        G, coef = self._rows()
-        return G.T @ (G * coef[:, None])
-
-    def q_bound(self) -> np.ndarray:
-        """Componentwise bound |q| used for score noise floors."""
-        G, coef = self._rows()
-        return abs(self.margin) * (coef @ np.abs(G))
+    def score_tolerance(self, beta: np.ndarray, grad_tol: float) -> np.ndarray:
+        """Per-component tolerance of the penalized score: grad_tol or the
+        rounding noise of P beta - q, whichever is larger."""
+        bound = (np.abs(self.P) @ np.abs(beta)[..., None])[..., 0]
+        if self.G is not None:
+            G, weights = self._rows()
+            G = np.abs(G)
+            # |q| for each term, q = margin * G' coef
+            bound = bound + sum(
+                abs(margin) * (w @ G)[:, 0] for (_, _, margin), w in zip(self.orderings, weights)
+            )
+        floor = _NOISE_SAFETY * np.finfo(float).eps * bound
+        return np.maximum(grad_tol, floor)
 
 
 def ordering_state(
-    X: np.ndarray,
-    weights: np.ndarray,
-    pair: OrdinalPair,
-    beta: np.ndarray,
-    lambda1: float,
-    lambda2: float,
-    margin: float = 0.0,
-) -> OrderingState:
-    M = marginal_difference_selector(pair)
-    p = X.shape[-1]
-    if M.shape[0] == 0 or (lambda1 == 0.0 and lambda2 == 0.0):
-        return OrderingState(np.zeros((1, 0, p)), np.zeros((1, 0)), margin)
-    G = M @ X
-    v = G @ beta
-    lam = np.concatenate(
-        [np.full(pair.m1 - 1, lambda1), np.full(pair.m2 - 1, lambda2)]
-    )
-    coef = weights[:, None] * lam[None, :] * (v <= margin)
-    return OrderingState(G, coef, margin)
+    penalty: StepPenalty, X: np.ndarray, weights: np.ndarray, beta: np.ndarray
+) -> StepPenalty:
+    """``penalty`` with its ordering terms frozen at ``beta``.
+
+    X (R, groups, n_eta, p), weights (R, groups) and beta (R, p) hold one
+    replicate per row; the violation set of each term is the rows with
+    G beta <= margin.
+    """
+    pair = penalty.pair
+    G = marginal_difference_selector(pair) @ X
+    v = (G @ beta[:, None, :, None])[..., 0]
+    cuts = [pair.m1 - 1, pair.m2 - 1]
+    return penalty._frozen(G, tuple(
+        weights[..., None] * np.repeat([lambda1, lambda2], cuts) * (v <= margin)
+        for lambda1, lambda2, margin in penalty.orderings
+    ))
 
 
 def build_ordering_penalty(
@@ -322,8 +372,7 @@ def build_ordering_penalty(
     observed profile, weighted by group counts.  Held fixed within one
     Fisher-scoring step by the estimator.
     """
-    X = design_matrices(spec, dataset)
-    weights = dataset.counts.sum(axis=(1, 2)).astype(float)
-    return ordering_state(
-        X, weights, spec.pair, np.asarray(beta, dtype=float), lambda1, lambda2
-    ).matrix()
+    step = StepPenalty(PenaltyConfig.ordering(lambda1, lambda2), spec)
+    X = design_matrices(spec, dataset)[None]
+    weights = dataset.counts.sum(axis=(1, 2)).astype(float)[None]
+    return ordering_state(step, X, weights, np.asarray(beta, dtype=float)[None]).P[0]

@@ -330,7 +330,11 @@ def test_fit_batch_matches_solo_fits_through_failures_and_ordering():
     assert stalled.failure_reason.startswith("no acceptable step")
     assert stalled.iterations == 75
     assert converged.converged and converged.iterations == 17
-    assert_batch_equals_solo(datasets, truth.spec, smoothing_config(truth.spec, 1.0))
+    smooth = smoothing_config(truth.spec, 1.0)
+    assert_batch_equals_solo(datasets, truth.spec, smooth)
+    # two ordering terms, one with a margin
+    second = PenaltyConfig.ordering(0.5, 2.0, 0.1)
+    assert_batch_equals_solo(datasets, truth.spec, PenaltyConfig.composite(smooth, second))
 
 
 def _count_trials(monkeypatch) -> dict[str, int]:

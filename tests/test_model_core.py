@@ -67,6 +67,7 @@ def test_dataset_validates_counts():
         np.array([[2**63, 1], [1, 1]], dtype=np.uint64),
         np.array([[2**62, 2**62], [1, 0]], dtype=np.int64),
         np.array([[2.0**62, 2.0**62], [0.0, 0.0]]),
+        np.full((2, 2), 2**62, dtype=np.int64),  # its int64 sum wraps to 0
     ):
         with pytest.raises(ValueError, match=r"below 2\*\*63"):
             one_group(big)

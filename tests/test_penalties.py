@@ -13,6 +13,7 @@ from bolm.model_core import (
 from bolm.penalties import (
     PenaltyConfig,
     PenaltyOperator,
+    StepPenalty,
     build_ordering_penalty,
     build_penalty_matrix,
     difference_matrix,
@@ -228,29 +229,36 @@ def test_build_penalty_matrix_rejects_ordering_family():
         PenaltyOperator(PenaltyConfig.ordering(1.0, 1.0), spec)
 
 
+def frozen_ordering(spec, dataset, beta, lambda1, lambda2, margin=0.0):
+    """The ordering penalty of one replicate, frozen at ``beta``."""
+    step = StepPenalty(PenaltyConfig.ordering(lambda1, lambda2, margin), spec)
+    X = design_matrices(spec, dataset)
+    weights = dataset.counts.sum(axis=(1, 2))
+    return ordering_state(step, X[None], weights[None], beta[None])
+
+
 def test_ordering_state_counts_only_violations():
     spec = intercept_spec(3, 3)
     layout = ParamLayout(spec)
     counts = np.array([[5, 3, 2], [2, 4, 3], [1, 2, 5]])
     dataset = Dataset.merged(spec.pair, [((), counts)])
-    X = design_matrices(spec, dataset)
-    weights = np.array([float(counts.sum())])
+    weight = float(counts.sum())
 
     beta = np.zeros(layout.size)
     b1 = layout.block(1, INTERCEPT)
     b2 = layout.block(2, INTERCEPT)
     beta[b1.slice] = [-1.0, 1.0]
     beta[b2.slice] = [-0.5, 0.5]
-    state = ordering_state(X, weights, spec.pair, beta, 2.0, 3.0)
-    assert state.tau(beta) == 0.0
-    np.testing.assert_allclose(state.grad(beta), np.zeros(layout.size))
+    state = frozen_ordering(spec, dataset, beta, 2.0, 3.0)
+    assert state.tau(beta[None])[0] == 0.0
+    np.testing.assert_allclose(state.grad(beta[None])[0], np.zeros(layout.size))
 
     # reverse the first margin: one violated difference of size 2
     beta[b1.slice] = [1.0, -1.0]
-    state = ordering_state(X, weights, spec.pair, beta, 2.0, 3.0)
-    assert state.tau(beta) == pytest.approx(weights[0] * 2.0 * 4.0)
+    state = frozen_ordering(spec, dataset, beta, 2.0, 3.0)
+    assert state.tau(beta[None])[0] == pytest.approx(weight * 2.0 * 4.0)
     P = build_ordering_penalty(spec, dataset, beta, 2.0, 3.0)
-    assert state.tau(beta) == pytest.approx(beta @ P @ beta)
+    assert state.tau(beta[None])[0] == pytest.approx(beta @ P @ beta)
 
 
 def test_ordering_margin_shifts_the_violation_boundary():
@@ -258,12 +266,42 @@ def test_ordering_margin_shifts_the_violation_boundary():
     layout = ParamLayout(spec)
     counts = np.full((3, 3), 2)
     dataset = Dataset.merged(spec.pair, [((), counts)])
-    X = design_matrices(spec, dataset)
-    weights = np.array([float(counts.sum())])
     beta = np.zeros(layout.size)
     beta[layout.block(1, INTERCEPT).slice] = [0.0, 0.1]
     beta[layout.block(2, INTERCEPT).slice] = [0.0, 5.0]
-    tight = ordering_state(X, weights, spec.pair, beta, 1.0, 1.0, margin=0.0)
-    assert tight.tau(beta) == 0.0
-    wide = ordering_state(X, weights, spec.pair, beta, 1.0, 1.0, margin=0.5)
-    assert wide.tau(beta) > 0.0
+    tight = frozen_ordering(spec, dataset, beta, 1.0, 1.0, margin=0.0)
+    assert tight.tau(beta[None])[0] == 0.0
+    wide = frozen_ordering(spec, dataset, beta, 1.0, 1.0, margin=0.5)
+    assert wide.tau(beta[None])[0] > 0.0
+
+
+def test_step_penalty_stack_equals_each_replicate_alone():
+    spec = covariate_spec()
+    rng = np.random.default_rng(7)
+    datasets = [
+        Dataset(spec.pair, rng.uniform(-1.0, 1.0, (5, 1)), rng.integers(1, 9, (5, 3, 3)))
+        for _ in range(2)
+    ]
+    X = np.stack([design_matrices(spec, ds) for ds in datasets])
+    weights = np.stack([ds.counts.sum(axis=(1, 2)) for ds in datasets])
+    beta = rng.normal(0.0, 1.0, (2, ParamLayout(spec).size))
+    config = PenaltyConfig.composite(
+        PenaltyConfig.arc1({(1, "x"): 2.0, (3, INTERCEPT): 1.0}),
+        PenaltyConfig.ordering(1.0, 3.0),
+        PenaltyConfig.ordering(0.5, 2.0, margin=0.1),
+    )
+    step = StepPenalty(config, spec)
+    stack = ordering_state(step, X, weights, beta)
+    assert stack.P.shape == (2, beta.shape[1], beta.shape[1])
+    assert all(c.any() and not c.all() for c in stack.coefs)  # some rows violate
+    for r in range(2):
+        alone = ordering_state(step, X[r : r + 1], weights[r : r + 1], beta[r : r + 1])
+        sub = stack[np.arange(2) == r]
+        for frozen in (alone, sub):
+            assert np.array_equal(frozen.tau(beta[r : r + 1]), stack.tau(beta)[r : r + 1])
+            assert np.array_equal(frozen.grad(beta[r : r + 1]), stack.grad(beta)[r : r + 1])
+            assert np.array_equal(
+                frozen.score_tolerance(beta[r : r + 1], 1e-7),
+                stack.score_tolerance(beta, 1e-7)[r : r + 1],
+            )
+            assert np.array_equal(frozen.P, stack.P[r : r + 1])
