@@ -20,6 +20,8 @@ from .inference import (
     LrpNullResult,
     LrpResult,
     NullReplicateRecord,
+    ProfilePoint,
+    aic_profile,
     default_null_calibration_truth,
     effective_dimension,
     gray_flattening_law,
@@ -90,7 +92,9 @@ __all__ = [
     "OrdinalPair",
     "ParamLayout",
     "PenaltyConfig",
+    "ProfilePoint",
     "TableRow",
+    "aic_profile",
     "build_design_matrix",
     "build_penalty_matrix",
     "compatible_eta_mask",

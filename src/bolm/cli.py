@@ -31,7 +31,12 @@ from .estimator import (
     FitResult,
     fit,
 )
-from .inference import default_null_calibration_truth, lr_test, simulate_lrp_null
+from .inference import (
+    aic_profile,
+    default_null_calibration_truth,
+    lr_test,
+    simulate_lrp_null,
+)
 from .link_map import IncompatibleEta, empirical_log_gors
 from .model_core import (
     INTERCEPT,
@@ -195,7 +200,7 @@ _SCHEMAS = {
             },
             "log_lambdas": {
                 "type": "array",
-                "items": {"type": "number"},
+                "items": {"type": "number", "minimum": -308, "maximum": 308},
                 "minItems": 1,
             },
             "lambdas": {
@@ -644,67 +649,27 @@ def cmd_fit(config: dict, seed: int, out: Path, threads: int) -> int:
     return 0
 
 
-def _profile_penalty(lam: float, s: int) -> PenaltyConfig:
-    if lam == 0.0:
-        return PenaltyConfig.none()
-    keys = {(3, INTERCEPT): lam, (4, INTERCEPT): lam}
-    return PenaltyConfig.arc2(keys, {k: s for k in keys})
-
-
-def _profile_curve(dataset, spec, s: int, lambdas, options):
-    """One AIC curve, warm starting each fit from the previous smoothing
-    value so the grid walks a single solution branch."""
-    rows = []
-    start = None
-    for lam in lambdas:
-        opts = dataclasses.replace(options, start=start)
-        try:
-            res = fit(dataset, spec, _profile_penalty(lam, s), opts)
-        except (IncompatibleEta, FloatingPointError):
-            rows.append((s, lam, float("nan"), float("nan"), "failed"))
-            continue
-        if res.fisher_scoring_failed:
-            rows.append((s, lam, float("nan"), float("nan"), "failed"))
-        else:
-            rows.append((s, lam, res.aic, res.edf, "ok"))
-            start = res.beta_hat
-    return rows
-
-
-def _grid_lambda(log_base: float, g) -> float:
-    try:
-        return float(log_base) ** float(g)
-    except OverflowError:
-        raise ConfigError(f"log_lambdas value {g} overflows a float in base {log_base:g}")
-
-
-def cmd_profile(
-    config: dict, seed: int, out: Path, threads: int, log_base: float
-) -> int:
+def cmd_profile(config: dict, seed: int, out: Path, threads: int) -> int:
     base = config["_base_dir"]
     dataset, cov_names, _ = _build_dataset(config["dataset"], base)
     spec = _parse_model(config["model"], dataset.pair, cov_names)
-    options = _parse_fit_options(config)
-    s_values = list(config["s_values"])
-
     if "log_lambdas" in config:
-        lambdas = sorted(_grid_lambda(log_base, g) for g in config["log_lambdas"])
+        lambdas = [10.0 ** float(g) for g in config["log_lambdas"]]
     else:
-        lambdas = sorted(float(v) for v in config["lambdas"])
+        lambdas = [float(v) for v in config["lambdas"]]
 
-    all_rows = []
-    for s in s_values:
-        all_rows.extend(_profile_curve(dataset, spec, s, lambdas, options))
-    all_rows.sort(key=lambda r: (r[0], r[1]))
-    out_rows = [
-        (s, math.log10(lam) if lam > 0 else float("-inf"), aic, edf, status)
-        for s, lam, aic, edf, status in all_rows
+    try:
+        points, _ = aic_profile(
+            dataset, spec, config["s_values"], lambdas, _parse_fit_options(config)
+        )
+    except ValueError as exc:  # an order or a model the profile cannot smooth
+        raise ConfigError(str(exc))
+    rows = [
+        (p.order, math.log10(p.lam) if p.lam > 0 else float("-inf"), p.aic, p.edf,
+         "ok" if p.converged else "failed")
+        for p in points
     ]
-    _write_csv(
-        out / "profile_aic.csv",
-        ["s", "log10_lambda", "aic", "edf", "status"],
-        out_rows,
-    )
+    _write_csv(out / "profile_aic.csv", ["s", "log10_lambda", "aic", "edf", "status"], rows)
     return 0
 
 
@@ -853,13 +818,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1, help="worker processes (outputs do not depend on it)")
-        if name == "profile":
-            p.add_argument(
-                "--log-base",
-                type=float,
-                default=10.0,
-                help="base of the log_lambdas grid (default 10)",
-            )
     return parser
 
 
@@ -883,12 +841,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         if args.threads < 1:
             raise ConfigError("--threads must be at least 1")
-        handler = _HANDLERS[args.command]
-        if args.command == "profile":
-            if not 0 < args.log_base < math.inf or args.log_base == 1.0:
-                raise ConfigError("--log-base must be positive, finite and not 1")
-            return handler(config, seed, out, args.threads, args.log_base)
-        return handler(config, seed, out, args.threads)
+        return _HANDLERS[args.command](config, seed, out, args.threads)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -236,28 +236,6 @@ def default_start(dataset: Dataset, spec: ModelSpec) -> np.ndarray:
     return beta
 
 
-def _feasible_start(
-    arrays: _Arrays, start: np.ndarray, fallback: np.ndarray, allow_blend: bool
-) -> tuple[np.ndarray, np.ndarray, float]:
-    try:
-        pi, ll = arrays.probs(start)
-        return start, pi, ll
-    except IncompatibleEta:
-        if not allow_blend:
-            raise
-    # with an ordering penalty an infeasible start is repaired by blending
-    # toward the (always feasible) default start
-    for t in np.linspace(1.0 / 32.0, 1.0, 32):
-        beta = (1.0 - t) * start + t * fallback
-        try:
-            pi, ll = arrays.probs(beta)
-            return beta, pi, ll
-        except IncompatibleEta:
-            continue
-    pi, ll = arrays.probs(fallback)
-    return fallback, pi, ll
-
-
 def _step_halving(
     arrays: _Arrays,
     frozen: StepPenalty,
@@ -374,18 +352,14 @@ def _fit_stack(
         # without ordering terms the penalty never changes
         return ordering_state(step, arrays.X, arrays.n, beta) if ordering else step
 
-    beta = np.stack([default_start(ds, spec) for ds in datasets])
     if options.start is None:
-        pi, loglik = arrays.probs(beta)
+        beta = np.stack([default_start(ds, spec) for ds in datasets])
     else:
         start = np.asarray(options.start, dtype=float).reshape(-1)
         if start.size != layout.size:
             raise ValueError(f"start length {start.size}, expected {layout.size}")
-        pi, loglik = np.empty(arrays.Y.shape), np.empty(R)
-        for r in range(R):
-            beta[r], pi[r], loglik[r] = _feasible_start(
-                arrays[r], start, beta[r], bool(ordering)
-            )
+        beta = np.tile(start, (R, 1))
+    pi, loglik = arrays.probs(beta)
 
     converged = np.zeros(R, dtype=bool)
     iterations = np.zeros(R, dtype=int)

@@ -1,4 +1,5 @@
-"""Penalized likelihood-ratio inference for nested model pairs.
+"""Penalized likelihood-ratio inference for nested model pairs, and model
+selection by AIC over a grid of smoothing orders and values (``aic_profile``).
 
 The test statistic is LR_P = -2 {l_P(reduced) - l_P(full)} where
 l_P = l - tau/2 is the penalized log-likelihood both fits maximized.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -41,6 +43,7 @@ from .estimator import (
     unpenalized_fisher,
     unpenalized_fisher_batch,
 )
+from .link_map import IncompatibleEta
 from .model_core import (
     INTERCEPT,
     Dataset,
@@ -580,6 +583,67 @@ def lr_test(
             result, p_value_mc=p_mc, mc_se=mc_se, method="gray_weighted"
         )
     return result, full_fit, reduced_fit
+
+
+@dataclass(frozen=True)
+class ProfilePoint:
+    """One fit of an AIC profile; a failed fit has NaN ``aic`` and ``edf``."""
+
+    order: int
+    lam: float
+    aic: float
+    edf: float
+    converged: bool
+
+
+def _profile_penalty(order: int, lam: float) -> PenaltyConfig:
+    if lam == 0.0:
+        return PenaltyConfig.none()
+    keys = {(3, INTERCEPT): lam, (4, INTERCEPT): lam}
+    return PenaltyConfig.arc2(keys, {k: order for k in keys})
+
+
+def aic_profile(
+    dataset: Dataset,
+    spec: ModelSpec,
+    orders: Sequence[int],
+    lambdas: Sequence[float],
+    options: FitOptions | None = None,
+) -> tuple[list[ProfilePoint], FitResult | None]:
+    """AIC of arc2 smoothing of the association intercepts along both
+    streams of cut points, over difference ``orders`` and ``lambdas``
+    (0: no penalty).
+
+    An order the intercepts cannot take, or intercepts with nothing to
+    smooth, raises ValueError before any fit.  Per order the fits walk
+    the lambdas upwards, each warm started from the last converged fit.
+    Returns the points in (order, lambda) order and the converged fit
+    with the least AIC, None when no fit converged.
+    """
+    options = options if options is not None else FitOptions()
+    for order in orders:
+        if not _profile_penalty(order, 1.0).block_operators(spec):
+            raise ValueError("the model's association intercepts have nothing to smooth")
+    lambdas = sorted(float(v) for v in lambdas)
+    points: list[ProfilePoint] = []
+    best, best_aic = None, math.inf
+    for order in orders:
+        start = None
+        for lam in lambdas:
+            opts = dataclasses.replace(options, start=start)
+            try:
+                res = fit(dataset, spec, _profile_penalty(order, lam), opts)
+            except (IncompatibleEta, FloatingPointError):
+                res = None
+            if res is None or res.fisher_scoring_failed:
+                points.append(ProfilePoint(order, lam, math.nan, math.nan, False))
+                continue
+            points.append(ProfilePoint(order, lam, res.aic, res.edf, True))
+            start = res.beta_hat
+            if res.aic < best_aic:
+                best, best_aic = res, res.aic
+    points.sort(key=lambda p: (p.order, p.lam))
+    return points, best
 
 
 def default_null_calibration_truth(n: int = 400) -> GeneratingModel:

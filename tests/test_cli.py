@@ -712,13 +712,39 @@ def test_profile_grid_overflow_is_a_config_error(tmp_path, capsys):
         "prof.json",
         {"dataset": _OS_DATASET, "model": {}, "s_values": [1], "log_lambdas": [1, 400]},
     )
-    for base in ([], ["--log-base", "1e200"]):
-        assert main(["profile", "--config", prof, "--out", str(tmp_path), *base]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "400" in err
-    for base in ("inf", "nan"):
-        assert main(["profile", "--config", prof, "--out", str(tmp_path), "--log-base", base]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+    assert main(["profile", "--config", prof, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "400" in err
+    # 10**-400 underflows to 0, which would be an unpenalized point
+    prof = write_json(
+        tmp_path,
+        "prof.json",
+        {"dataset": _OS_DATASET, "model": {}, "s_values": [1], "log_lambdas": [-400, 0]},
+    )
+    assert main(["profile", "--config", prof, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "-400" in err
+    assert not (tmp_path / "profile_aic.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "model, s_values, message",
+    [
+        ({}, [6], "difference order 6 invalid for block length 6"),
+        ({"uniform_association": True}, [2], "nothing to smooth"),
+    ],
+    ids=["order-too-high", "uniform-association"],
+)
+def test_profile_refuses_an_order_the_model_cannot_take(tmp_path, capsys, model, s_values, message):
+    prof = write_json(
+        tmp_path,
+        "prof.json",
+        {"dataset": _OS_DATASET, "model": model, "s_values": s_values, "lambdas": [1.0]},
+    )
+    assert main(["profile", "--config", prof, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "profile_aic.csv").exists()
 
 
 def _with_penalty(penalty: dict) -> tuple[str, dict]:

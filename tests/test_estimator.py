@@ -188,6 +188,14 @@ def test_fit_rejects_wrong_start_length():
         )
 
 
+def test_infeasible_start_raises_under_an_ordering_penalty():
+    dataset = os_dataset()
+    spec = nupom_spec(dataset.pair)
+    start = np.zeros(spec.layout.size)  # equal cut points: empty middle cells
+    with pytest.raises(IncompatibleEta):
+        fit(dataset, spec, PenaltyConfig.ordering(1.0, 1.0), FitOptions(start=start))
+
+
 def test_penalized_lp_trace_is_nondecreasing():
     dataset = os_dataset()
     res = fit(

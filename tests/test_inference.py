@@ -9,6 +9,7 @@ from bolm import inference
 from bolm.estimator import fit, unpenalized_fisher
 from bolm.inference import (
     HEAVY_LAMBDA,
+    aic_profile,
     default_null_calibration_truth,
     effective_dimension,
     gray_flattening_law,
@@ -25,6 +26,7 @@ from bolm.inference import (
 )
 from bolm.model_core import (
     INTERCEPT,
+    Dataset,
     EquationTerms,
     ModelSpec,
     OrdinalPair,
@@ -333,6 +335,29 @@ def test_lr_test_runs_the_chi2_test_on_its_own_fits(monkeypatch):
     excluded = dataclasses.replace(full, eq3=EquationTerms())
     with pytest.raises(ValueError, match="draw count"):
         lr_test(dataset, full, cfg, excluded, none, None, draws=0)
+
+
+def test_aic_profile_walks_the_grid_and_keeps_the_best_fit(monkeypatch):
+    counts = np.array([[12, 8, 5, 3], [7, 14, 9, 4], [4, 9, 13, 8], [2, 5, 9, 15]])
+    pair = OrdinalPair(4, 4)
+    dataset = Dataset.merged(pair, [((), counts)])
+    spec = ModelSpec(pair, ())
+    points, best = aic_profile(dataset, spec, (2, 1), (100.0, 0.0))
+    assert [(p.order, p.lam) for p in points] == [(1, 0.0), (1, 100.0), (2, 0.0), (2, 100.0)]
+    assert all(p.converged for p in points)
+    least = min(points, key=lambda p: p.aic)
+    assert best.converged and best.aic == least.aic
+    keys = {(3, INTERCEPT): least.lam, (4, INTERCEPT): least.lam}
+    expected = PenaltyConfig.arc2(keys, {k: least.order for k in keys})
+    assert least.lam > 0 and best.penalty == expected
+    # an order the association intercepts cannot take, or a model with no
+    # association surface to smooth, is refused before any fit
+    monkeypatch.setattr(inference, "fit", None)
+    with pytest.raises(ValueError, match="difference order 3"):
+        aic_profile(dataset, spec, (1, 3), (0.0,))
+    uniform = ModelSpec(pair, (), uniform_association=True)
+    with pytest.raises(ValueError, match="nothing to smooth"):
+        aic_profile(dataset, uniform, (1,), (1.0,))
 
 
 def test_exclusion_tests_warn_about_the_tested_block():
