@@ -349,48 +349,58 @@ def _read_table_file(path: Path) -> np.ndarray:
 def _read_long_file(path: Path, pair: OrdinalPair) -> tuple[list[str], Dataset]:
     """CSV with header a1,a2,<covariate...>[,count]; one observation row
     per line (weighted by count when present).  Rows sharing a covariate
-    profile are merged into one group, ordered by first appearance."""
+    profile (equal by value) are summed into one group as they are read,
+    so memory grows with the profiles, not the lines; groups are ordered
+    by first appearance."""
+    tables: dict[tuple[float, ...], list[int]] = {}
+    largest = 0.0
     with open(path, newline="") as fh:
-        raw = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
-    if not raw:
-        raise ConfigError(f"{path}: empty file")
-    header = [c.strip() for c in raw[0]]
-    if header[:2] != ["a1", "a2"]:
-        raise ConfigError(f"{path}: header must start with a1,a2")
-    has_count = len(header) > 2 and header[-1] == "count"
-    cov_names = header[2:-1] if has_count else header[2:]
-    profiles: list[tuple[list[float], np.ndarray]] = []
-    for ln, row in enumerate(raw[1:], 2):
-        if len(row) != len(header):
-            raise ConfigError(
-                f"{path}:{ln}: {len(row)} fields, header has {len(header)}"
-            )
-        try:
-            a1 = int(row[0])
-            a2 = int(row[1])
-        except ValueError:
-            raise ConfigError(f"{path}:{ln}: category labels must be integers")
-        if not (1 <= a1 <= pair.d1) or not (1 <= a2 <= pair.d2):
-            raise ConfigError(
-                f"{path}:{ln}: labels ({a1}, {a2}) outside "
-                f"1..{pair.d1} x 1..{pair.d2}"
-            )
-        count = 1.0
-        if has_count:
+        rows = (row for row in csv.reader(fh) if any(c.strip() for c in row))
+        header = [c.strip() for c in next(rows, [])]
+        if not header:
+            raise ConfigError(f"{path}: empty file")
+        if header[:2] != ["a1", "a2"]:
+            raise ConfigError(f"{path}: header must start with a1,a2")
+        has_count = len(header) > 2 and header[-1] == "count"
+        cov_names = header[2:-1] if has_count else header[2:]
+        for ln, row in enumerate(rows, 2):
+            if len(row) != len(header):
+                raise ConfigError(
+                    f"{path}:{ln}: {len(row)} fields, header has {len(header)}"
+                )
             try:
-                count = float(row[-1])
+                a1 = int(row[0])
+                a2 = int(row[1])
             except ValueError:
-                raise ConfigError(f"{path}:{ln}: non-numeric count")
-            if not (count.is_integer() and count >= 0):
-                raise ConfigError(f"{path}:{ln}: counts must be nonnegative integers")
-        try:
-            covs = [float(c) for c in row[2 : 2 + len(cov_names)]]
-        except ValueError:
-            raise ConfigError(f"{path}:{ln}: non-numeric covariate")
-        table = np.zeros((pair.d1, pair.d2))
-        table[a1 - 1, a2 - 1] = count
-        profiles.append((covs, table))
-    return cov_names, Dataset.merged(pair, profiles)
+                raise ConfigError(f"{path}:{ln}: category labels must be integers")
+            if not (1 <= a1 <= pair.d1) or not (1 <= a2 <= pair.d2):
+                raise ConfigError(
+                    f"{path}:{ln}: labels ({a1}, {a2}) outside "
+                    f"1..{pair.d1} x 1..{pair.d2}"
+                )
+            count = 1.0
+            if has_count:
+                try:
+                    count = float(row[-1])
+                except ValueError:
+                    raise ConfigError(f"{path}:{ln}: non-numeric count")
+                if not (count.is_integer() and count >= 0):
+                    raise ConfigError(f"{path}:{ln}: counts must be nonnegative integers")
+            try:
+                covs = tuple(float(c) for c in row[2 : 2 + len(cov_names)])
+            except ValueError:
+                raise ConfigError(f"{path}:{ln}: non-numeric covariate")
+            largest = max(largest, count)
+            table = tables.setdefault(covs, [0] * (pair.d1 * pair.d2))
+            table[(a1 - 1) * pair.d2 + a2 - 1] += int(count)
+    # Dataset's int64 checks, with its messages, on the exact integer sums
+    if largest >= 2.0**63:
+        raise ValueError("counts must be finite and below 2**63")
+    if sum(map(sum, tables.values())) >= 2**63:
+        raise ValueError("counts must sum to below 2**63")
+    covariates = np.array(list(tables), dtype=float).reshape(len(tables), len(cov_names))
+    counts = np.array(list(tables.values()), dtype=np.int64)
+    return cov_names, Dataset(pair, covariates, counts.reshape(-1, pair.d1, pair.d2))
 
 
 def _build_dataset(dscfg: dict, base_dir: Path) -> tuple[Dataset, list[str], dict]:

@@ -291,25 +291,10 @@ def empirical_log_gors(counts: np.ndarray) -> np.ndarray:
     Returns an (d1-1) x (d2-1) grid; cut points with an empty quadrant
     give +/-inf (nan when opposing quadrants are both empty).
     """
-    y = np.asarray(counts, dtype=float)
-    d1, d2 = y.shape
-    cum = y.cumsum(axis=0).cumsum(axis=1)
-    total = cum[-1, -1]
-    out = np.empty((d1 - 1, d2 - 1))
-    for r in range(1, d1):
-        for c in range(1, d2):
-            both_low = cum[r - 1, c - 1]
-            a1_low = cum[r - 1, -1] - both_low
-            a2_low = cum[-1, c - 1] - both_low
-            both_high = total - both_low - a1_low - a2_low
-            num = both_low * both_high
-            den = a1_low * a2_low
-            if den == 0.0 and num == 0.0:
-                out[r - 1, c - 1] = np.nan
-            elif den == 0.0:
-                out[r - 1, c - 1] = np.inf
-            elif num == 0.0:
-                out[r - 1, c - 1] = -np.inf
-            else:
-                out[r - 1, c - 1] = np.log(num) - np.log(den)
-    return out
+    cum = np.asarray(counts, dtype=float).cumsum(axis=0).cumsum(axis=1)
+    both_low = cum[:-1, :-1]
+    a1_low = cum[:-1, -1:] - both_low
+    a2_low = cum[-1:, :-1] - both_low
+    both_high = cum[-1, -1] - both_low - a1_low - a2_low
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(both_low * both_high) - np.log(a1_low * a2_low)

@@ -238,18 +238,11 @@ class PenaltyOperator:
 
 def marginal_difference_selector(pair: OrdinalPair) -> np.ndarray:
     """Rows extracting consecutive marginal-predictor differences from eta."""
-    rows = []
-    for r in range(2, pair.m1 + 1):
-        row = np.zeros(pair.n_eta)
-        row[r] = 1.0
-        row[r - 1] = -1.0
-        rows.append(row)
-    for c in range(2, pair.m2 + 1):
-        row = np.zeros(pair.n_eta)
-        row[pair.m1 + c] = 1.0
-        row[pair.m1 + c - 1] = -1.0
-        rows.append(row)
-    return np.array(rows) if rows else np.zeros((0, pair.n_eta))
+    m1, m2 = pair.m1, pair.m2
+    out = np.zeros((m1 + m2 - 2, pair.n_eta))
+    out[: m1 - 1, 1 : m1 + 1] = np.diff(np.eye(m1), axis=0)
+    out[m1 - 1 :, m1 + 1 : m1 + m2 + 1] = np.diff(np.eye(m2), axis=0)
+    return out
 
 
 # Heavy difference penalties make the exact score cancel catastrophically:

@@ -1,8 +1,9 @@
 """Data generation and the loss benchmarking experiment.
 
 Datasets are drawn from a known model: covariates by a declared law
-conditioned on predictor compatibility, responses by exact multinomial
-sampling via sequential binomial conditioning.  Randomness comes from
+conditioned on predictor compatibility, responses by one
+``Generator.multinomial`` call over the groups (sequential binomial
+conditioning, cell by cell and group by group).  Randomness comes from
 counter-based Philox streams keyed (seed, stream), so replicate r is
 reproducible in isolation.
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,11 +111,11 @@ class GeneratingModel:
 
     The model family is not variation independent, so a covariate law can
     overlap a region where the true predictor has no compatible probability
-    table.  Construction sweeps the law's range and records the compatible
-    fraction: a fixed design must be compatible in every row, while a
-    stochastic law only needs a workable fraction because draws are then
-    conditioned on compatibility (incompatible draws are rejected and
-    redrawn).  Sampling therefore never yields an incompatible predictor.
+    table.  Construction sweeps the law's range: a fixed design must be
+    compatible in every row, while a stochastic law only needs a workable
+    compatible fraction because draws are then conditioned on
+    compatibility (incompatible draws are rejected and redrawn).
+    Sampling therefore never yields an incompatible predictor.
     """
 
     spec: ModelSpec
@@ -145,7 +147,6 @@ class GeneratingModel:
 
         ok = self.compatible_rows(self.law.probe_values())
         fraction = float(ok.mean())
-        object.__setattr__(self, "feasible_fraction", fraction)
         if self.law.kind == "fixed" and not ok.all():
             bad = int(np.where(~ok)[0][0])
             raise IncompatibleEta(
@@ -187,32 +188,9 @@ class GeneratingModel:
         )
 
 
-def true_probs(gm: GeneratingModel, dataset: Dataset) -> np.ndarray:
-    """True cell probabilities for each group of a sampled dataset."""
-    return gm.probs_for(dataset.covariates)
-
-
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array(
         [seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)))
-
-
-def _multinomial_counts(
-    rng: np.random.Generator, total: int, probs: np.ndarray
-) -> np.ndarray:
-    """Exact multinomial draw via sequential binomial conditioning."""
-    counts = np.zeros(probs.size, dtype=np.int64)
-    remaining = int(total)
-    tail = 1.0
-    for j in range(probs.size - 1):
-        if remaining == 0:
-            break
-        p = probs[j] / tail if tail > 0.0 else 1.0
-        counts[j] = rng.binomial(remaining, min(max(p, 0.0), 1.0))
-        remaining -= int(counts[j])
-        tail -= probs[j]
-    counts[-1] = remaining
-    return counts
 
 
 def sample_dataset(gm: GeneratingModel, seed: int, stream: int = 0) -> Dataset:
@@ -223,9 +201,8 @@ def sample_dataset(gm: GeneratingModel, seed: int, stream: int = 0) -> Dataset:
     sizes = np.bincount(inverse, minlength=first.size)
     pair = gm.spec.pair
     unique_rows = rows[first]
-    probs = gm.probs_for(unique_rows)
-    counts = [_multinomial_counts(rng, n, p) for n, p in zip(sizes, probs)]
-    return Dataset(pair, unique_rows, np.reshape(counts, (-1, pair.d1, pair.d2)))
+    counts = rng.multinomial(sizes, gm.probs_for(unique_rows))
+    return Dataset(pair, unique_rows, counts.reshape(-1, pair.d1, pair.d2))
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +294,25 @@ def smoothing_config(spec: ModelSpec, lam: float) -> PenaltyConfig:
     )
 
 
+class Score(NamedTuple):
+    """The three losses and the AIC of one successful fit."""
+
+    msel: float
+    mrsel: float
+    mel: float
+    aic: float
+
+
 @dataclass
 class ReplicateOutcome:
     replicate: int
-    upom_converged: bool
-    upom_losses: tuple[float, float, float] | None
-    upom_aic: float | None
+    upom: Score | None                # None when the UPOM fit failed
     first_success_index: int | None   # ladder index of the first NUNPOM success
-    nunpom_losses: tuple[float, float, float] | None
-    nunpom_aic: float | None
+    nunpom: Score | None
+
+    @property
+    def upom_converged(self) -> bool:
+        return self.upom is not None
 
 
 @dataclass(frozen=True)
@@ -359,42 +346,39 @@ def _fit_with_retry(dataset, spec, cfg, lam) -> FitResult:
     return res
 
 
+def _score(res: FitResult, dataset: Dataset, pi_true: np.ndarray) -> Score | None:
+    """The losses of a fit against the per-observation true probabilities,
+    and its AIC, or None when Fisher scoring failed."""
+    if res.fisher_scoring_failed:
+        return None
+    pi_hat = _expand_per_observation(dataset, res.fitted_probs)
+    return Score(loss_msel(pi_true, pi_hat), loss_mrsel(pi_true, pi_hat),
+                 loss_mel(pi_true, pi_hat), res.aic)
+
+
 def _benchmark_replicate(args) -> ReplicateOutcome:
     seed, r, n, ladder = args
     gm = default_loss_benchmark_truth(n)
     ds = sample_dataset(gm, seed, stream=r)
-    pi_true = _expand_per_observation(ds, true_probs(gm, ds))
-
+    pi_true = _expand_per_observation(ds, gm.probs_for(ds.covariates))
     upom = uniform_proportional_spec(gm.spec.pair, gm.spec.covariate_names)
-    res_u = fit(ds, upom)
-    u_ok = not res_u.fisher_scoring_failed
-    u_losses = None
-    u_aic = None
-    if u_ok:
-        pi_hat = _expand_per_observation(ds, res_u.fitted_probs)
-        u_losses = (
-            loss_msel(pi_true, pi_hat),
-            loss_mrsel(pi_true, pi_hat),
-            loss_mel(pi_true, pi_hat),
-        )
-        u_aic = res_u.aic
-
-    first = None
-    n_losses = None
-    n_aic = None
+    upom_score = _score(fit(ds, upom), ds, pi_true)
     for idx, lam in enumerate(ladder):
         res = _fit_with_retry(ds, gm.spec, smoothing_config(gm.spec, lam), lam)
-        if not res.fisher_scoring_failed:
-            first = idx
-            pi_hat = _expand_per_observation(ds, res.fitted_probs)
-            n_losses = (
-                loss_msel(pi_true, pi_hat),
-                loss_mrsel(pi_true, pi_hat),
-                loss_mel(pi_true, pi_hat),
-            )
-            n_aic = res.aic
-            break
-    return ReplicateOutcome(r, u_ok, u_losses, u_aic, first, n_losses, n_aic)
+        score = _score(res, ds, pi_true)
+        if score is not None:
+            return ReplicateOutcome(r, upom_score, idx, score)
+    return ReplicateOutcome(r, upom_score, None, None)
+
+
+def _table_row(model: str, lam: float | None, scores: list[Score], fss: int) -> TableRow:
+    """The mean losses and AIC of ``scores``, NaN when there are none."""
+    if scores:
+        m1, m2, m3 = np.array([(s.msel, s.mrsel, s.mel) for s in scores]).mean(axis=0)
+        aic = float(np.mean([s.aic for s in scores]))
+    else:
+        m1 = m2 = m3 = aic = float("nan")
+    return TableRow(model, lam, float(m1), float(m2), float(m3), aic, fss)
 
 
 def run_table1_experiment(
@@ -417,25 +401,11 @@ def run_table1_experiment(
     rows: list[TableRow] = []
     cumulative = 0
     for idx, lam in enumerate(ladder):
-        fresh = [o for o in outcomes if o.first_success_index == idx]
+        fresh = [o.nunpom for o in outcomes if o.first_success_index == idx]
         cumulative += len(fresh)
-        if fresh:
-            losses = np.array([o.nunpom_losses for o in fresh])
-            aic = float(np.mean([o.nunpom_aic for o in fresh]))
-            m1, m2, m3 = losses.mean(axis=0)
-        else:
-            m1 = m2 = m3 = aic = float("nan")
-        rows.append(TableRow("NUNPOM", lam, float(m1), float(m2), float(m3),
-                             aic, cumulative))
-    good = [o for o in outcomes if o.upom_converged]
-    if good:
-        losses = np.array([o.upom_losses for o in good])
-        aic = float(np.mean([o.upom_aic for o in good]))
-        m1, m2, m3 = losses.mean(axis=0)
-    else:
-        m1 = m2 = m3 = aic = float("nan")
-    rows.append(TableRow("UPOM", None, float(m1), float(m2), float(m3),
-                         aic, len(good)))
+        rows.append(_table_row("NUNPOM", lam, fresh, cumulative))
+    upom = [o.upom for o in outcomes if o.upom is not None]
+    rows.append(_table_row("UPOM", None, upom, len(upom)))
     return BenchmarkResult(rows, outcomes, ladder)
 
 

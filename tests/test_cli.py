@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,9 +13,10 @@ import pytest
 from scipy import stats
 
 from bolm import inference
-from bolm.cli import _normal_p_value, main
+from bolm.cli import _normal_p_value, _read_long_file, main
 from bolm.inference import NULL_CHUNK
 from bolm.link_map import IncompatibleEta
+from bolm.model_core import OrdinalPair
 from bolm.simulation import default_loss_benchmark_truth, sample_dataset
 
 REPO = Path(__file__).resolve().parents[1]
@@ -255,6 +257,11 @@ def test_long_ingestion_merging_and_centering(tmp_path, capsys):
             ("1,1,0,inf", "counts must be nonnegative integers"),
             ("1,1,nan,5", "covariates must be finite"),
             ("1,1,inf,5", "covariates must be finite"),
+            ("1,1,0,1e19", "counts must be finite and below 2**63"),
+            # each count fits in int64 but the sum does not, in one cell
+            # or across profiles
+            (f"1,1,0,{2**62}\n1,1,0,{2**62}", "counts must sum to below 2**63"),
+            (f"1,1,0,{2**62}\n2,2,1,{2**62}", "counts must sum to below 2**63"),
         ]
     ):
         (tmp_path / f"nonfinite{i}.csv").write_text(f"a1,a2,x,count\n1,2,0,5\n{row}\n")
@@ -271,6 +278,25 @@ def test_long_ingestion_merging_and_centering(tmp_path, capsys):
             assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert message in err and f"nonfinite{i}.csv" in err
+
+
+def test_long_reader_memory_grows_with_profiles_not_lines(tmp_path):
+    lines = ["a1,a2,x,count"] + [
+        f"{i % 7 + 1},{i // 7 % 7 + 1},{i % 20},{i % 3}" for i in range(20_000)
+    ]
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        names, dataset = _read_long_file(path, OrdinalPair(7, 7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert names == ["x"]
+    assert dataset.n_groups == 20
+    assert dataset.n_total == sum(i % 3 for i in range(20_000))
+    # one table per line would take tens of MB
+    assert peak < 4 * 2**20
 
 
 def test_profile_zero_lambda_identity_across_orders(tmp_path):

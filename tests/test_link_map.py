@@ -191,6 +191,12 @@ def test_empirical_log_gors_quadrants_and_infinities():
     counts = np.array([[4, 6], [8, 12]])
     expected = math.log((4 * 12) / (6 * 8))
     assert math.isclose(empirical_log_gors(counts)[0, 0], expected)
+    # both quadrant products zero: no odds ratio, and no warning
+    counts = np.array([[0, 0], [5, 20]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = empirical_log_gors(counts)
+    assert np.isnan(grid[0, 0])
 
 
 def _extreme_rows(pair: OrdinalPair) -> np.ndarray:

@@ -6,7 +6,13 @@ import pytest
 from bolm import simulation
 from bolm.inference import default_null_calibration_truth
 from bolm.link_map import IncompatibleEta
-from bolm.model_core import INTERCEPT, EquationTerms, ModelSpec, OrdinalPair
+from bolm.model_core import (
+    INTERCEPT,
+    EquationTerms,
+    ModelSpec,
+    OrdinalPair,
+    group_profiles,
+)
 from bolm.simulation import (
     _pool_map,
     _stream_rng,
@@ -19,7 +25,6 @@ from bolm.simulation import (
     run_table1_experiment,
     sample_dataset,
     smoothing_config,
-    true_probs,
     uniform_proportional_spec,
 )
 
@@ -111,10 +116,60 @@ def test_sample_dataset_groups_rows_by_first_sight(truth):
         assert dataset.counts.sum(axis=(1, 2)).tolist() == list(sizes.values())
 
 
+def _sequential_binomial_counts(rng, total, probs):
+    """Multinomial draw by sequential binomial conditioning, cell by cell:
+    the algorithm and draw order ``Generator.multinomial`` runs."""
+    counts = np.zeros(probs.size, dtype=np.int64)
+    remaining = int(total)
+    tail = 1.0
+    for j in range(probs.size - 1):
+        if remaining == 0:
+            break
+        counts[j] = rng.binomial(remaining, min(max(probs[j] / tail, 0.0), 1.0))
+        remaining -= int(counts[j])
+        tail -= probs[j]
+    counts[-1] = remaining
+    return counts
+
+
+@pytest.mark.parametrize(
+    "truth",
+    [
+        default_null_calibration_truth(n=400),
+        default_null_calibration_truth(n=37),
+        default_loss_benchmark_truth(n=400),
+    ],
+    ids=["null", "null-small", "loss"],
+)
+def test_sample_dataset_draws_by_sequential_binomial_conditioning(truth, monkeypatch):
+    streams = []
+
+    def recording_rng(seed, stream):
+        streams.append(_stream_rng(seed, stream))
+        return streams[-1]
+
+    monkeypatch.setattr(simulation, "_stream_rng", recording_rng)
+    for seed, stream in [(20260816, 0), (20260816, 9), (20260817, 3), (5, 41)]:
+        dataset = sample_dataset(truth, seed, stream)
+        rng = _stream_rng(seed, stream)
+        rows = truth.draw_covariates(truth.n, rng)
+        first, inverse = group_profiles(rows)
+        probs = truth.probs_for(rows[first])
+        expected = [
+            _sequential_binomial_counts(rng, size, p)
+            for size, p in zip(np.bincount(inverse), probs)
+        ]
+        np.testing.assert_array_equal(
+            dataset.counts.reshape(dataset.n_groups, -1), expected
+        )
+        # the stream is left where the reference leaves it
+        assert streams[-1].integers(2**63) == rng.integers(2**63)
+
+
 def test_true_probs_are_distributions():
     truth = default_loss_benchmark_truth(n=150)
     dataset = sample_dataset(truth, seed=3, stream=1)
-    probs = true_probs(truth, dataset)
+    probs = truth.probs_for(dataset.covariates)
     assert probs.shape == (dataset.n_groups, 9)
     assert (probs > 0.0).all()
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(dataset.n_groups))
