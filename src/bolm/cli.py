@@ -8,7 +8,9 @@ log-GOR grid).  Every command reads a JSON config validated against a
 schema that rejects unknown keys, writes fixed-name files under
 ``--out``, and is deterministic given the config and ``--seed``.
 
-Exit codes: 0 success, 2 invalid config or data, 3 numerical failure.
+Exit codes, which ``main`` alone assigns: 0 success, 2 invalid config or
+data (a ``ConfigError`` or any other ``ValueError``), 3 numerical failure
+(``IncompatibleEta`` and ``LinAlgError`` too, though they are ValueErrors).
 """
 
 from __future__ import annotations
@@ -355,7 +357,8 @@ def _read_long_file(path: Path, pair: OrdinalPair) -> tuple[list[str], Dataset]:
     tables: dict[tuple[float, ...], list[int]] = {}
     largest = 0.0
     with open(path, newline="") as fh:
-        rows = (row for row in csv.reader(fh) if any(c.strip() for c in row))
+        reader = csv.reader(fh)
+        rows = (row for row in reader if any(c.strip() for c in row))
         header = [c.strip() for c in next(rows, [])]
         if not header:
             raise ConfigError(f"{path}: empty file")
@@ -363,7 +366,8 @@ def _read_long_file(path: Path, pair: OrdinalPair) -> tuple[list[str], Dataset]:
             raise ConfigError(f"{path}: header must start with a1,a2")
         has_count = len(header) > 2 and header[-1] == "count"
         cov_names = header[2:-1] if has_count else header[2:]
-        for ln, row in enumerate(rows, 2):
+        for row in rows:
+            ln = reader.line_num
             if len(row) != len(header):
                 raise ConfigError(
                     f"{path}:{ln}: {len(row)} fields, header has {len(header)}"
@@ -467,17 +471,14 @@ def _parse_model(mcfg: dict, pair: OrdinalPair, cov_names: list[str]) -> ModelSp
             tuple(e.get("category_dependent", ())),
         )
 
-    try:
-        return ModelSpec(
-            pair,
-            tuple(cov_names),
-            equation("eq1"),
-            equation("eq2"),
-            equation("eq3"),
-            uniform_association=bool(mcfg.get("uniform_association", False)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return ModelSpec(
+        pair,
+        tuple(cov_names),
+        equation("eq1"),
+        equation("eq2"),
+        equation("eq3"),
+        uniform_association=bool(mcfg.get("uniform_association", False)),
+    )
 
 
 def _term_key(term: dict, key: str) -> tuple:
@@ -510,13 +511,6 @@ def _parse_penalty(pcfg: dict | None) -> PenaltyConfig:
             float(pcfg.get("margin", 0.0)),
         )
     return PenaltyConfig.composite(*(_parse_penalty(p) for p in pcfg["parts"]))
-
-
-def _check_penalty_targets(penalty: PenaltyConfig, spec: ModelSpec) -> None:
-    try:
-        penalty.block_operators(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
 
 
 def _parse_fit_options(cfg: dict) -> FitOptions:
@@ -609,7 +603,6 @@ def cmd_fit(config: dict, seed: int, out: Path, threads: int) -> int:
     dataset, cov_names, record = _build_dataset(config["dataset"], base)
     spec = _parse_model(config["model"], dataset.pair, cov_names)
     penalty = _parse_penalty(config.get("penalty"))
-    _check_penalty_targets(penalty, spec)
     options = _parse_fit_options(config)
 
     result = fit(dataset, spec, penalty, options)
@@ -668,12 +661,9 @@ def cmd_profile(config: dict, seed: int, out: Path, threads: int) -> int:
     else:
         lambdas = [float(v) for v in config["lambdas"]]
 
-    try:
-        points, _ = aic_profile(
-            dataset, spec, config["s_values"], lambdas, _parse_fit_options(config)
-        )
-    except ValueError as exc:  # an order or a model the profile cannot smooth
-        raise ConfigError(str(exc))
+    points, _ = aic_profile(
+        dataset, spec, config["s_values"], lambdas, _parse_fit_options(config)
+    )
     rows = [
         (p.order, math.log10(p.lam) if p.lam > 0 else float("-inf"), p.aic, p.edf,
          "ok" if p.converged else "failed")
@@ -690,21 +680,16 @@ def cmd_lrtest(config: dict, seed: int, out: Path, threads: int) -> int:
     reduced_spec = _parse_model(config["reduced"], dataset.pair, cov_names)
     draws = int(config["mc"].get("draws", 200_000)) if "mc" in config else None
 
-    try:
-        result, full_fit, reduced_fit = lr_test(
-            dataset,
-            full_spec,
-            _parse_penalty(config.get("full_penalty")),
-            reduced_spec,
-            _parse_penalty(config.get("reduced_penalty")),
-            _parse_fit_options(config),
-            draws=draws,
-            seed=seed,
-        )
-    except (IncompatibleEta, np.linalg.LinAlgError):
-        raise  # numerical failures, though ValueErrors
-    except ValueError as exc:  # the hypothesis or a penalty target
-        raise ConfigError(str(exc))
+    result, full_fit, reduced_fit = lr_test(
+        dataset,
+        full_spec,
+        _parse_penalty(config.get("full_penalty")),
+        reduced_spec,
+        _parse_penalty(config.get("reduced_penalty")),
+        _parse_fit_options(config),
+        draws=draws,
+        seed=seed,
+    )
     if result is None:
         for name, f in (("full", full_fit), ("reduced", reduced_fit)):
             if f.fisher_scoring_failed:
@@ -732,12 +717,9 @@ def cmd_simulate(config: dict, seed: int, out: Path, threads: int) -> int:
         replicates = int(config.get("replicates", 100))
         n = int(config.get("n", 400))
         ladder = tuple(float(v) for v in config.get("lambdas", (0.0, 1.0, 10.0, 100.0)))
-        try:
-            result = run_table1_experiment(
-                seed, replicates=replicates, n=n, ladder=ladder, threads=threads
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        result = run_table1_experiment(
+            seed, replicates=replicates, n=n, ladder=ladder, threads=threads
+        )
         rows = [
             (row.model, row.lam, row.msel, row.mrsel, row.mel, row.aic, row.fss)
             for row in result.rows
@@ -852,12 +834,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.threads < 1:
             raise ConfigError("--threads must be at least 1")
         return _HANDLERS[args.command](config, seed, out, args.threads)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (IncompatibleEta, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -61,6 +61,9 @@ class FitOptions:
 
 @dataclass
 class FitResult:
+    """One fit; ``failure_reason`` is None exactly when scoring converged.
+    A singular final penalized information fails the fit, NaN edf and AIC."""
+
     beta_hat: np.ndarray
     spec: ModelSpec
     penalty: PenaltyConfig
@@ -72,7 +75,6 @@ class FitResult:
     aic: float
     df_nominal: int
     iterations: int
-    converged: bool
     failure_reason: str | None
     fitted_probs: np.ndarray
     lp_trace: tuple[float, ...]
@@ -80,6 +82,10 @@ class FitResult:
     @property
     def layout(self) -> ParamLayout:
         return self.spec.layout
+
+    @property
+    def converged(self) -> bool:
+        return self.failure_reason is None
 
     @property
     def fisher_scoring_failed(self) -> bool:
@@ -361,9 +367,8 @@ def _fit_stack(
         beta = np.tile(start, (R, 1))
     pi, loglik = arrays.probs(beta)
 
-    converged = np.zeros(R, dtype=bool)
     iterations = np.zeros(R, dtype=int)
-    reasons: list[str | None] = [None] * R
+    reasons: list[str | None] = [None] * R  # None: converged
     traces: list[list[float]] = [[] for _ in range(R)]
 
     # the replicates still iterating and their state; a replicate's final
@@ -372,8 +377,11 @@ def _fit_stack(
     work, b, pi_w, ll_w = arrays, beta.copy(), pi.copy(), loglik.copy()
     suspects = np.empty(0, dtype=int)  # groups that broke the last trial
 
-    def retire(stopped: np.ndarray) -> np.ndarray:
+    def retire(stopped: np.ndarray, why) -> np.ndarray:
+        # why(i): the reason live replicate i stopped, None if it converged
         nonlocal live, work, b, pi_w, ll_w
+        for i in np.flatnonzero(stopped).tolist():
+            reasons[live[i]] = why(i)
         rows = live[stopped]
         beta[rows], pi[rows], loglik[rows] = b[stopped], pi_w[stopped], ll_w[stopped]
         keep = ~stopped
@@ -390,11 +398,8 @@ def _fit_stack(
         stop = np.all(np.abs(s_pen) < frozen.score_tolerance(b, options.grad_tol), axis=-1)
         direction, singular = _solve_spd(info + frozen.P, s_pen[..., None], layout, ~stop)
         if stop.any() or singular:
-            converged[live[stop]] = True
-            for i, text in singular.items():
-                reasons[live[i]] = text
-                stop[i] = True
-            keep = retire(stop)
+            stop[list(singular)] = True
+            keep = retire(stop, singular.get)
             if not live.size:
                 break
             frozen, direction, lp = frozen[keep], direction[keep], lp[keep]
@@ -403,23 +408,18 @@ def _fit_stack(
             work, frozen, b, direction[..., 0], lp, options, suspects
         )
         if not accepted.all():
-            for i in np.flatnonzero(~accepted):
-                reasons[live[i]] = (
-                    "no acceptable step within "
-                    f"{options.step_halvings} halvings at iteration {iterations[live[i]] + 1}"
-                )
-            retire(~accepted)
+            retire(~accepted, lambda i: (
+                "no acceptable step within "
+                f"{options.step_halvings} halvings at iteration {iterations[live[i]] + 1}"
+            ))
             if not live.size:
                 break
             new_b, new_pi, new_ll = new_b[accepted], new_pi[accepted], new_ll[accepted]
         b, pi_w, ll_w = new_b, new_pi, new_ll
         iterations[live] += 1
     else:
-        for r in live:
-            reasons[r] = (
-                f"gradient tolerance not reached within {options.max_iter} iterations"
-            )
-        retire(np.ones(live.size, dtype=bool))
+        capped = f"gradient tolerance not reached within {options.max_iter} iterations"
+        retire(np.ones(live.size, dtype=bool), lambda i: capped)
 
     frozen = freeze(arrays, beta)
     tau_hat = frozen.tau(beta)
@@ -436,8 +436,7 @@ def _fit_stack(
         edf[smoothed] = np.trace(hat[smoothed], axis1=-2, axis2=-1)
     for r, text in singular.items():
         edf[r] = float("nan")
-        if reasons[r] is None:
-            reasons[r] = text
+        reasons[r] = reasons[r] or text  # the reason it stopped comes first
 
     results = []
     for r, dataset in enumerate(datasets):
@@ -456,7 +455,6 @@ def _fit_stack(
                 aic=-2.0 * (float(loglik[r]) - e),
                 df_nominal=int(free_cells - round(e)) if np.isfinite(e) else -1,
                 iterations=int(iterations[r]),
-                converged=bool(converged[r]),
                 failure_reason=reasons[r],
                 fitted_probs=pi[r].reshape(dataset.n_groups, arrays.pair.d1, arrays.pair.d2),
                 lp_trace=tuple(traces[r]),

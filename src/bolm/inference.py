@@ -614,13 +614,15 @@ def aic_profile(
     streams of cut points, over difference ``orders`` and ``lambdas``
     (0: no penalty).
 
-    An order the intercepts cannot take, or intercepts with nothing to
-    smooth, raises ValueError before any fit.  Per order the fits walk
-    the lambdas upwards, each warm started from the last converged fit.
-    Returns the points in (order, lambda) order and the converged fit
-    with the least AIC, None when no fit converged.
+    An order the intercepts cannot take, nothing to smooth or a given
+    ``options.start`` raises ValueError before any fit.  Per order the
+    fits walk the lambdas upwards, each warm started from the last
+    converged fit.  Returns the points in (order, lambda) order and the
+    converged fit with the least AIC, None when no fit converged.
     """
     options = options if options is not None else FitOptions()
+    if options.start is not None:
+        raise ValueError("aic_profile warm starts its own fits; give no options.start")
     for order in orders:
         if not _profile_penalty(order, 1.0).block_operators(spec):
             raise ValueError("the model's association intercepts have nothing to smooth")

@@ -104,8 +104,8 @@ class Dataset:
     one is the profile of table g of the other.  Both are stored
     read-only, as float and int64.  Zero cells are allowed, but each
     group total must be positive; covariates must be finite and the
-    profiles distinct.  Two datasets are equal when their pairs and
-    arrays are.
+    profiles distinct by value (0.0 and -0.0 agree).  Two datasets are
+    equal when their pairs and arrays are.
     """
 
     pair: OrdinalPair
@@ -132,11 +132,8 @@ class Dataset:
             raise ValueError("each group needs a positive total count")
         if not np.isfinite(cov).all():
             raise ValueError("covariates must be finite")
-        first, _ = group_profiles(cov)
-        if first.size != len(cov):
-            raise ValueError(
-                "duplicate covariate profile; merge groups on ingestion"
-            )
+        if len(set(map(tuple, cov.tolist()))) != len(cov):
+            raise ValueError("duplicate covariate profile; merge groups on ingestion")
         object.__setattr__(self, "covariates", _freeze(cov))
         object.__setattr__(self, "counts", _freeze(cnt))
 

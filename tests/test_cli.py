@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from bolm import inference
-from bolm.cli import _normal_p_value, _read_long_file, main
+from bolm.cli import ConfigError, _normal_p_value, _read_long_file, main
 from bolm.inference import NULL_CHUNK
 from bolm.link_map import IncompatibleEta
 from bolm.model_core import OrdinalPair
@@ -909,3 +909,93 @@ def test_singular_fit_reports_nan_p_values(tmp_path, capsys):
     assert report["estimates"]
     for entry in report["estimates"]:
         assert (entry["se"], entry["z"], entry["p_value"]) == ("nan", "nan", "nan")
+
+
+@pytest.mark.parametrize(
+    "command, config, rc, message",
+    [
+        pytest.param(
+            "fit",
+            {
+                "dataset": _OS_DATASET,
+                "model": {},
+                "penalty": {
+                    "family": "ridge",
+                    "terms": [{"equation": 1, "variable": "z", "lambda": 1.0}],
+                },
+            },
+            2,
+            "error: penalty targets missing block eq1:z",
+            id="fit-missing-target",
+        ),
+        pytest.param(
+            "fit",
+            {"dataset": _OS_DATASET, "model": {"eq1": {"include": ["z"]}}},
+            2,
+            "error: equation 1 uses unknown covariates ['z']",
+            id="unknown-covariate",
+        ),
+        pytest.param(
+            "simulate",
+            {"experiment": "loss_benchmark", "lambdas": [10, 1]},
+            2,
+            "error: ladder must be ascending",
+            id="descending-ladder",
+        ),
+        pytest.param(
+            "lrtest",
+            {
+                "dataset": _OS_DATASET,
+                "full": {},
+                "reduced": {"uniform_association": True},
+                "fit_options": {"max_iter": 1},
+            },
+            3,
+            "full fit failed: gradient tolerance not reached within 1 iterations",
+            id="lrtest-fit-fails",
+        ),
+    ],
+)
+def test_library_errors_map_to_exit_codes(tmp_path, capsys, command, config, rc, message):
+    # invalid input the library finds exits 2 and a fit that fails exits
+    # 3, before any output file is written
+    cfg = write_json(tmp_path, "cfg.json", config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == rc
+    assert capsys.readouterr().err.startswith(message)
+    assert list(out.iterdir()) == []
+
+
+def _unit_counts_file(tmp_path: Path) -> Path:
+    """A 2x2 long file, one observation per cell and profile: x1 takes 0
+    and 1, and x2 is always 0, so its design column is zero."""
+    lines = ["a1,a2,x1,x2"] + [
+        f"{a1},{a2},{x1},0" for x1 in (0, 1) for a1 in (1, 2) for a2 in (1, 2)
+    ]
+    path = tmp_path / "aliased.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_fit_singular_at_convergence_exits_3(tmp_path, capsys):
+    _unit_counts_file(tmp_path)
+    cfg = write_json(
+        tmp_path,
+        "aliased.json",
+        {
+            "dataset": {"path": "aliased.csv", "format": "long", "pair": [2, 2]},
+            "model": {"covariates": ["x1", "x2"], "eq1": {"include": ["x1", "x2"]}},
+        },
+    )
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "rank deficient" in capsys.readouterr().err
+    convergence = json.loads((tmp_path / "fit_report.json").read_text())["convergence"]
+    assert convergence["converged"] is False
+    assert convergence["fisher_scoring_failed"] is True
+
+
+def test_long_reader_reports_file_line_numbers(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("a1,a2,x\n\n1,9,0\n")
+    with pytest.raises(ConfigError, match=r"blank\.csv:3: labels \(1, 9\) outside 1\.\.2 x 1\.\.2"):
+        _read_long_file(path, OrdinalPair(2, 2))

@@ -446,3 +446,17 @@ def test_fit_batch_isolates_a_rank_deficient_replicate():
     assert "rank deficient" in batch[2].failure_reason
     assert batch[2].fisher_scoring_failed and np.isnan(batch[2].cov).all()
     assert all(batch[r].converged for r in (0, 1, 3))
+
+
+def test_singular_information_at_convergence_fails_the_fit():
+    # unit counts in every cell: the independence start is the fit at
+    # once, but x2 is always 0, so its design column is zero and the
+    # final information is singular
+    pair = OrdinalPair(2, 2)
+    dataset = Dataset(pair, [[0.0, 0.0], [1.0, 0.0]], np.ones((2, 2, 2), dtype=np.int64))
+    spec = ModelSpec(pair, ("x1", "x2"), EquationTerms(("x1", "x2")))
+    res = fit(dataset, spec)
+    assert not res.converged
+    assert res.fisher_scoring_failed
+    assert "rank deficient" in res.failure_reason
+    assert np.isnan(res.edf) and np.isnan(res.aic)

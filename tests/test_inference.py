@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from bolm import inference
-from bolm.estimator import fit, unpenalized_fisher
+from bolm.estimator import FitOptions, fit, unpenalized_fisher
 from bolm.inference import (
     HEAVY_LAMBDA,
     aic_profile,
@@ -358,6 +358,9 @@ def test_aic_profile_walks_the_grid_and_keeps_the_best_fit(monkeypatch):
     uniform = ModelSpec(pair, (), uniform_association=True)
     with pytest.raises(ValueError, match="nothing to smooth"):
         aic_profile(dataset, uniform, (1,), (1.0,))
+    # the walk chooses every start, so a start of the caller's is refused
+    with pytest.raises(ValueError, match="options.start"):
+        aic_profile(dataset, spec, (1,), (0.0,), FitOptions(start=best.beta_hat))
 
 
 def test_exclusion_tests_warn_about_the_tested_block():

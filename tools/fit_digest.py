@@ -1,0 +1,150 @@
+"""Digests of the fits and CLI outputs that a refactor must leave unchanged.
+
+    python tools/fit_digest.py [--loss N] [--null N]
+
+Prints one JSON line: the number of fits hashed, ``fits``, the SHA-256 of
+every ``FitResult`` field of
+
+- the loss benchmark's UPOM fit, every rung of its smoothing ladder and
+  the lambda = 0 retry with half steps, for loss replicates 0 .. N-1 of
+  seed 20260816;
+- ``fit_batch`` on null-calibration replicates 0 .. N-1 of that seed at
+  lambda 0, 1, 10 and 50, for the full and the reduced model;
+
+and ``cli``, the SHA-256 of the exit code, stdout, stderr and output files
+of ``bolm.cli.main`` on each shipped config that is not a ``simulate``
+one, with the repository path replaced by a placeholder.  Arrays are
+hashed as bytes, everything else by ``repr``.
+
+The script imports the package from the ``src`` beside it, so a copy of
+this file in another checkout digests that checkout's code: two checkouts
+that print the same line fit and write the same bits.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+
+import numpy as np  # noqa: E402
+
+from bolm import cli  # noqa: E402
+from bolm.estimator import FitOptions, fit, fit_batch  # noqa: E402
+from bolm.inference import (  # noqa: E402
+    _null_penalty,
+    default_null_calibration_truth,
+    with_global_effect,
+)
+from bolm.simulation import (  # noqa: E402
+    default_loss_benchmark_truth,
+    sample_dataset,
+    smoothing_config,
+    uniform_proportional_spec,
+)
+
+SEED = 20260816
+LADDER = (0.0, 1.0, 10.0, 100.0)
+NULL_LAMBDAS = (0.0, 1.0, 10.0, 50.0)
+
+# read by attribute, so that a field turned into a property hashes alike
+FIELDS = (
+    "beta_hat", "spec", "penalty", "cov", "loglik", "penalty_value", "edf", "aic",
+    "df_nominal", "iterations", "converged", "failure_reason", "fitted_probs", "lp_trace",
+)
+
+CLI_JOBS = (
+    ("empirical", "liver_empirical"),
+    ("fit", "os_unpenalized"),
+    ("fit", "os_upom"),
+    ("fit", "os_arc1"),
+    ("fit", "os_ridge"),
+    ("fit", "os_arc2_s2"),
+    ("fit", "os_arc2_s3"),
+    ("fit", "os_arc2_s4"),
+    ("profile", "os_profile"),
+    ("lrtest", "os_lrtest"),
+)
+
+
+def _update(h, name: str, value) -> None:
+    h.update(name.encode() + b"=")
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype}{value.shape}".encode() + value.tobytes())
+    else:
+        h.update(repr(value).encode())
+    h.update(b"\n")
+
+
+def _hash_fit(h, res) -> None:
+    for name in FIELDS:
+        _update(h, name, getattr(res, name))
+    _update(h, "covariates", res.dataset.covariates)
+    _update(h, "counts", res.dataset.counts)
+
+
+def loss_fits(replicates: int):
+    """The fits the loss benchmark makes, and more: every ladder rung."""
+    truth = default_loss_benchmark_truth()
+    upom = uniform_proportional_spec(truth.spec.pair, truth.spec.covariate_names)
+    for r in range(replicates):
+        dataset = sample_dataset(truth, SEED, stream=r)
+        yield fit(dataset, upom)
+        for lam in LADDER:
+            penalty = smoothing_config(truth.spec, lam)
+            res = fit(dataset, truth.spec, penalty)
+            yield res
+            if lam == 0.0 and res.fisher_scoring_failed:
+                yield fit(dataset, truth.spec, penalty, FitOptions(step_length=0.5))
+
+
+def null_fits(replicates: int):
+    truth = default_null_calibration_truth()
+    reduced = with_global_effect(truth.spec, 3, "x")
+    datasets = [sample_dataset(truth, SEED, stream=r) for r in range(replicates)]
+    for lam in NULL_LAMBDAS:
+        for spec in (truth.spec, reduced):
+            yield from fit_batch(datasets, spec, _null_penalty(lam, spec))
+
+
+def cli_digest() -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, name in CLI_JOBS:
+            out = Path(tmp) / name
+            argv = [command, "--config", str(REPO / "configs" / f"{name}.json"), "--out", str(out)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = cli.main(argv)
+            texts = {"exit": str(rc), "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+            texts.update((p.name, p.read_text()) for p in sorted(out.iterdir()))
+            for key, text in texts.items():
+                text = text.replace(str(out), "<out>").replace(str(REPO), "<repo>")
+                _update(h, f"{name}/{key}", text)
+    return h.hexdigest()
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--loss", type=int, default=12, help="loss benchmark replicates")
+    parser.add_argument("--null", type=int, default=80, help="null calibration replicates")
+    args = parser.parse_args(argv)
+    h = hashlib.sha256()
+    count = 0
+    for res in itertools.chain(loss_fits(args.loss), null_fits(args.null)):
+        _hash_fit(h, res)
+        count += 1
+    print(json.dumps({"n_fits": count, "fits": h.hexdigest(), "cli": cli_digest()}))
+
+
+if __name__ == "__main__":
+    main()
