@@ -816,8 +816,6 @@ def simulate_lrp_null(
     """
     if truth is None:
         truth = default_null_calibration_truth()
-    if len(truth.spec.covariate_names) != 1:
-        raise ValueError("the null calibration design uses a single covariate")
     variable = truth.spec.covariate_names[0]
     terms = truth.spec.eq3
     if variable not in terms.category_dependent:

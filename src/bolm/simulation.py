@@ -37,29 +37,21 @@ from .penalties import PenaltyConfig
 
 @dataclass(frozen=True)
 class CovariateLaw:
-    """Law of the covariate rows: bernoulli(p), open-interval uniform(a, b)
-    or a fixed design matrix."""
+    """Law of the single covariate: bernoulli(p) or open-interval
+    uniform(low, high)."""
 
     kind: str
     p: float = 0.5
     low: float = -1.0
     high: float = 1.0
-    values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("bernoulli", "uniform", "fixed"):
+        if self.kind not in ("bernoulli", "uniform"):
             raise ValueError(f"unknown covariate law {self.kind!r}")
         if self.kind == "bernoulli" and not 0.0 <= self.p <= 1.0:
             raise ValueError("bernoulli p outside [0, 1]")
         if self.kind == "uniform" and not self.low < self.high:
             raise ValueError("uniform law needs low < high")
-        if self.kind == "fixed":
-            if self.values is None:
-                raise ValueError("fixed law needs a design matrix")
-            vals = np.asarray(self.values, dtype=float)
-            if vals.ndim != 2:
-                raise ValueError("fixed design must be 2-d (rows, covariates)")
-            object.__setattr__(self, "values", vals)
 
     @classmethod
     def bernoulli(cls, p: float) -> "CovariateLaw":
@@ -69,53 +61,35 @@ class CovariateLaw:
     def uniform(cls, low: float, high: float) -> "CovariateLaw":
         return cls("uniform", low=low, high=high)
 
-    @classmethod
-    def fixed(cls, values: np.ndarray) -> "CovariateLaw":
-        return cls("fixed", values=values)
-
-    @property
-    def n_covariates(self) -> int:
-        return 1 if self.kind in ("bernoulli", "uniform") else self.values.shape[1]
-
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "bernoulli":
             return rng.binomial(1, self.p, size=(n, 1)).astype(float)
-        if self.kind == "uniform":
-            # open interval: the closed endpoints may sit on the boundary
-            # of the compatible predictor region
-            out = rng.uniform(self.low, self.high, size=(n, 1))
-            while (out == self.low).any():
-                redo = out == self.low
-                out[redo] = rng.uniform(self.low, self.high, size=int(redo.sum()))
-            return out
-        vals = self.values
-        if n != vals.shape[0]:
-            raise ValueError(f"fixed design has {vals.shape[0]} rows, asked for {n}")
-        return vals.copy()
+        # open interval: the closed endpoints may sit on the boundary of
+        # the compatible predictor region
+        out = rng.uniform(self.low, self.high, size=(n, 1))
+        while (out == self.low).any():
+            redo = out == self.low
+            out[redo] = rng.uniform(self.low, self.high, size=int(redo.sum()))
+        return out
 
     def probe_values(self) -> np.ndarray:
         """Covariate rows covering the law's range, for feasibility checks."""
         if self.kind == "bernoulli":
             return np.array([[0.0], [1.0]])
-        if self.kind == "uniform":
-            shave = 1e-9 * (self.high - self.low)
-            return np.linspace(
-                self.low + shave, self.high - shave, 129
-            ).reshape(-1, 1)
-        return self.values
+        shave = 1e-9 * (self.high - self.low)
+        return np.linspace(self.low + shave, self.high - shave, 129).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
 class GeneratingModel:
-    """A model spec, true coefficients and a covariate law to sample from.
+    """A one-covariate model spec, its true coefficients and covariate law.
 
     The model family is not variation independent, so a covariate law can
     overlap a region where the true predictor has no compatible probability
-    table.  Construction sweeps the law's range: a fixed design must be
-    compatible in every row, while a stochastic law only needs a workable
-    compatible fraction because draws are then conditioned on
-    compatibility (incompatible draws are rejected and redrawn).
-    Sampling therefore never yields an incompatible predictor.
+    table.  Draws are therefore conditioned on compatibility: incompatible
+    draws are rejected and redrawn, so sampling never yields an
+    incompatible predictor.  Construction sweeps the law's range and
+    refuses a law that is compatible on less than 5% of it.
     """
 
     spec: ModelSpec
@@ -131,27 +105,21 @@ class GeneratingModel:
                 f"beta_true has {beta.size} entries, layout needs {layout.size}"
             )
         object.__setattr__(self, "beta_true", beta)
-        if self.law.n_covariates != len(self.spec.covariate_names):
+        if len(self.spec.covariate_names) != 1:
             raise ValueError("covariate law width does not match the spec")
         if self.n < 1:
             raise ValueError("sample size must be positive")
-        # predictors are affine in the covariates, so one intercept vector
-        # and one slope per covariate reproduce any design row.  A slope is
-        # the unit-covariate predictor minus eta0: S_j @ beta rounds
-        # differently, and the sampled datasets depend on these bits
+        # predictors are affine in the covariate, so an intercept vector and
+        # a slope reproduce any row.  The slope is the unit-covariate
+        # predictor minus eta0: S @ beta rounds differently, and the sampled
+        # datasets depend on these bits
         X0, S = self.spec.affine_design
         eta0 = X0 @ beta
         slopes = (X0 + S) @ beta - eta0
         object.__setattr__(self, "_eta0", eta0)
         object.__setattr__(self, "_eta_slopes", slopes)
 
-        ok = self.compatible_rows(self.law.probe_values())
-        fraction = float(ok.mean())
-        if self.law.kind == "fixed" and not ok.all():
-            bad = int(np.where(~ok)[0][0])
-            raise IncompatibleEta(
-                f"fixed design row {bad} yields an incompatible predictor"
-            )
+        fraction = float(self.compatible_rows(self.law.probe_values()).mean())
         if fraction < 0.05:
             raise IncompatibleEta(
                 "covariate law is essentially incompatible with the model "
@@ -173,8 +141,6 @@ class GeneratingModel:
     def draw_covariates(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Law draws conditioned on predictor compatibility."""
         rows = self.law.draw(n, rng)
-        if self.law.kind == "fixed":
-            return rows  # construction verified every row
         pending = np.arange(n)
         for _ in range(200):
             ok = self.compatible_rows(rows[pending])
@@ -210,16 +176,11 @@ def sample_dataset(gm: GeneratingModel, seed: int, stream: int = 0) -> Dataset:
 
 
 def _paired(pi_true: np.ndarray, pi_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two (N, cells) probability arrays as floats."""
     t = np.asarray(pi_true, dtype=float)
     h = np.asarray(pi_hat, dtype=float)
-    if t.ndim == 1:
-        t = t.reshape(1, -1)
-    if h.ndim == 1:
-        h = h.reshape(1, -1)
-    t = t.reshape(t.shape[0], -1)
-    h = h.reshape(h.shape[0], -1)
-    if t.shape != h.shape:
-        raise ValueError(f"probability arrays differ in shape: {t.shape} vs {h.shape}")
+    if t.ndim != 2 or t.shape != h.shape:
+        raise ValueError(f"probability arrays are not 2-d alike: {t.shape} vs {h.shape}")
     return t, h
 
 

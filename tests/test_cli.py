@@ -179,6 +179,43 @@ def test_table_ingestion_errors(tmp_path, capsys):
         assert "counts must be finite" in err and "t.dat" in err
 
 
+_GRID = "3 1 0\n1 4 2\n0 2 5\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# c\n3, 1, 0\n\n1,4,2\n0 ,2, 5", None),
+        ("3 x 0", "{path}:1: non-numeric entry"),
+        ("# only\n# comments\n", "{path}: empty table"),
+        (None, "data file not found: {path}"),
+    ],
+    ids=["comma-comments-blank", "non-numeric", "comments-only", "missing"],
+)
+def test_table_reader_forms(tmp_path, capsys, text, message):
+    """A comma-separated grid with # comments and blank lines reads as the
+    whitespace-separated ``_GRID``; unreadable tables exit 2."""
+
+    def empirical(directory: Path, grid: str | None) -> int:
+        directory.mkdir()
+        if grid is not None:
+            (directory / "t.dat").write_text(grid)
+        cfg = write_json(directory, "cfg.json", {"dataset": {"path": "t.dat", "format": "table"}})
+        return main(["empirical", "--config", cfg, "--out", str(directory / "out")])
+
+    rc = empirical(tmp_path / "case", text)
+    err = capsys.readouterr().err
+    if message is not None:
+        assert rc == 2
+        assert f"error: {message.format(path=tmp_path / 'case' / 't.dat')}" in err
+        return
+    assert rc == 0 and err == ""
+    assert empirical(tmp_path / "reference", _GRID) == 0
+    written = (tmp_path / "case" / "out" / "empirical_loggor.csv").read_text()
+    assert written == (tmp_path / "reference" / "out" / "empirical_loggor.csv").read_text()
+    assert written.count("\n") == 5  # header and the 2 x 2 grid of log GORs
+
+
 def test_long_ingestion_merging_and_centering(tmp_path, capsys):
     lines = ["a1,a2,x,count"]
     for a1, a2, n in [(1, 1, 30), (1, 2, 20), (2, 1, 25), (2, 2, 25)]:
@@ -329,6 +366,25 @@ def test_profile_zero_lambda_identity_across_orders(tmp_path):
 
 
 _OS_DATASET = {"path": str(REPO / "data/occupational_status.dat"), "format": "table"}
+
+
+def test_profile_maps_log_lambdas_and_reports_failed_points(tmp_path):
+    cfg = write_json(
+        tmp_path,
+        "profile.json",
+        {"dataset": _OS_DATASET, "model": {}, "s_values": [1], "log_lambdas": [-2, -1, 0]},
+    )
+    assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "profile_aic.csv")
+    assert header == ["s", "log10_lambda", "aic", "edf", "status"]
+    # the two lightest penalties leave Fisher scoring without a fit
+    assert rows[:2] == [
+        ["1", "-2.0", "nan", "nan", "failed"],
+        ["1", "-1.0", "nan", "nan", "failed"],
+    ]
+    assert rows[2][:2] == ["1", "0.0"] and rows[2][4] == "ok"
+    assert float(rows[2][2]) == pytest.approx(22253.105465418877, rel=1e-6)
+    assert float(rows[2][3]) == pytest.approx(44.89588911793949, rel=1e-6)
 
 # the 3x3 two-profile table of the mc tests: x in eq1 and eq2 globally
 _MC_MARGINS = {"covariates": ["x"], "eq1": {"include": ["x"]}, "eq2": {"include": ["x"]}}

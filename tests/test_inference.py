@@ -61,6 +61,13 @@ def test_is_nested_orderings():
     assert not is_nested(full, upom_33())
     assert not is_nested(full, reduced)
     assert is_nested(full, full)
+    z = EquationTerms(("z",), ("z",))
+    assert not is_nested(full, ModelSpec(OrdinalPair(3, 3), ("z",), z, z, z))
+    assert not is_nested(full, dataclasses.replace(full, pair=OrdinalPair(3, 4)))
+    # equal terms: only the association intercepts decide
+    uniform = dataclasses.replace(full, uniform_association=True)
+    assert not is_nested(full, uniform)
+    assert is_nested(uniform, full)
 
 
 def test_with_global_effect_demotes_one_variable():
@@ -209,6 +216,11 @@ def test_lrp_dual_forms_agree_on_real_fits():
     )
     assert stat == pytest.approx(direct, abs=1e-10)
     assert stat >= -1e-8
+    other_fit = fit(sample_dataset(truth, seed=314, stream=1), reduced, cfg)
+    with pytest.raises(ValueError, match="fits come from different datasets"):
+        lrp_statistic(full_fit, other_fit)
+    with pytest.raises(ValueError, match="reduced model is not nested in the full model"):
+        lrp_statistic(reduced_fit, full_fit)
 
 
 def test_lrp_nonnegative_under_matched_smoothing():
@@ -248,6 +260,14 @@ def test_ppom_chi2_test_reports_df_and_warnings():
         res_pen = ppom_chi2_test(fit(dataset, full, cfg), fit(dataset, reduced))
         assert any("reference is conservative" in w for w in res_pen.warnings)
         assert not any("anti-conservative" in w for w in res_pen.warnings)
+    # a model against its smoothed self tests nothing, and the smoothing
+    # costs the full fit penalized likelihood
+    smoothed = fit(dataset, full, PenaltyConfig.arc1({(3, "x"): 1.0}))
+    res_self = ppom_chi2_test(smoothed, fit(dataset, full))
+    assert res_self.df == 0 and res_self.statistic < 0.0
+    assert res_self.p_value_chi2 == 1.0
+    assert len(res_self.warnings) == 1
+    assert "eq3:x is smoothed differently in the two fits" in res_self.warnings[0]
 
 
 # every degree count 1-33, at chi-squared draws and at the edges of the

@@ -34,10 +34,8 @@ def test_covariate_law_validation():
         CovariateLaw.bernoulli(1.5)
     with pytest.raises(ValueError):
         CovariateLaw.uniform(1.0, 1.0)
-    with pytest.raises(ValueError):
-        CovariateLaw.fixed(np.zeros(3))
-    assert CovariateLaw.bernoulli(0.3).n_covariates == 1
-    assert CovariateLaw.fixed(np.zeros((5, 2))).n_covariates == 2
+    with pytest.raises(ValueError, match="unknown covariate law"):
+        CovariateLaw("fixed")
 
 
 def test_covariate_law_draws():
@@ -46,36 +44,36 @@ def test_covariate_law_draws():
     assert b.shape == (200, 1)
     assert set(np.unique(b)) <= {0.0, 1.0}
     u = CovariateLaw.uniform(-1.0, 1.0).draw(500, rng)
+    assert u.shape == (500, 1)
     assert (-1.0 < u).all() and (u < 1.0).all()
-    design = np.arange(6.0).reshape(3, 2)
-    f = CovariateLaw.fixed(design)
-    np.testing.assert_array_equal(f.draw(3, rng), design)
-    with pytest.raises(ValueError):
-        f.draw(4, rng)
 
 
 def test_generating_model_validates_shapes():
     truth = default_loss_benchmark_truth()
     with pytest.raises(ValueError):
         GeneratingModel(truth.spec, truth.beta_true[:-1], truth.law, 100)
-    with pytest.raises(ValueError):
-        GeneratingModel(
-            truth.spec, truth.beta_true, CovariateLaw.fixed(np.zeros((4, 2))), 4
-        )
+    two = ModelSpec(
+        truth.spec.pair, ("x", "z"), truth.spec.eq1, truth.spec.eq2, truth.spec.eq3
+    )
+    assert two.layout.size == truth.beta_true.size
+    with pytest.raises(ValueError, match="width"):
+        GeneratingModel(two, truth.beta_true, truth.law, 100)
     with pytest.raises(ValueError):
         GeneratingModel(truth.spec, truth.beta_true, truth.law, 0)
 
 
 def test_generating_model_rejects_incompatible_designs():
     truth = default_null_calibration_truth()
-    # x = -1 pushes the true predictor outside the compatible region
-    with pytest.raises(IncompatibleEta, match="row"):
-        GeneratingModel(
-            truth.spec,
-            truth.beta_true,
-            CovariateLaw.fixed(np.array([[0.0], [-1.0]])),
-            2,
-        )
+    # reversed equation-1 intercepts leave no compatible predictor at either
+    # value of the Bernoulli covariate
+    beta = truth.beta_true.copy()
+    beta[truth.spec.layout.block(1, INTERCEPT).slice] = [0.5, -0.5]
+    with pytest.raises(IncompatibleEta) as err:
+        GeneratingModel(truth.spec, beta, truth.law, truth.n)
+    assert str(err.value) == (
+        "covariate law is essentially incompatible with the model "
+        "(compatible fraction 0.000 over the probed range)"
+    )
 
 
 def test_sample_dataset_reproducible_per_stream():
@@ -188,6 +186,10 @@ def test_losses_zero_at_truth_and_match_hand_values():
         loss_mrsel(np.array([[0.0, 1.0]]), hat)
     with pytest.raises(ValueError):
         loss_msel(np.zeros((1, 4)), np.zeros((1, 6)))
+    # only (N, cells) pairs: a 1-d pair would be averaged over its cells
+    for shape in [(2,), (1, 3, 3)]:
+        with pytest.raises(ValueError, match="2-d"):
+            loss_msel(np.full(shape, 0.5), np.full(shape, 0.5))
 
 
 def test_uniform_proportional_spec_shape():

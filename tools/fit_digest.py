@@ -12,9 +12,11 @@ every ``FitResult`` field of
   lambda 0, 1, 10 and 50, for the full and the reduced model;
 
 and ``cli``, the SHA-256 of the exit code, stdout, stderr and output files
-of ``bolm.cli.main`` on each shipped config that is not a ``simulate``
-one, with the repository path replaced by a placeholder.  Arrays are
-hashed as bytes, everything else by ``repr``.
+of ``bolm.cli.main`` on each shipped config, with the repository path
+replaced by a placeholder.  The two ``simulate`` configs run from copies
+whose ``replicates`` is N, ``--loss`` for the loss benchmark and
+``--null`` for the null calibration.  Arrays are hashed as bytes,
+everything else by ``repr``.
 
 The script imports the package from the ``src`` beside it, so a copy of
 this file in another checkout digests that checkout's code: two checkouts
@@ -73,6 +75,8 @@ CLI_JOBS = (
     ("fit", "os_arc2_s4"),
     ("profile", "os_profile"),
     ("lrtest", "os_lrtest"),
+    ("simulate", "loss_benchmark"),
+    ("simulate", "null_calibration"),
 )
 
 
@@ -116,12 +120,19 @@ def null_fits(replicates: int):
             yield from fit_batch(datasets, spec, _null_penalty(lam, spec))
 
 
-def cli_digest() -> str:
+def cli_digest(loss: int, null: int) -> str:
+    replicates = {"loss_benchmark": loss, "null_calibration": null}
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for command, name in CLI_JOBS:
             out = Path(tmp) / name
-            argv = [command, "--config", str(REPO / "configs" / f"{name}.json"), "--out", str(out)]
+            config = REPO / "configs" / f"{name}.json"
+            if name in replicates:
+                payload = json.loads(config.read_text())
+                payload["replicates"] = replicates[name]
+                config = Path(tmp) / f"{name}.json"
+                config.write_text(json.dumps(payload))
+            argv = [command, "--config", str(config), "--out", str(out)]
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 rc = cli.main(argv)
@@ -143,7 +154,7 @@ def main(argv=None) -> None:
     for res in itertools.chain(loss_fits(args.loss), null_fits(args.null)):
         _hash_fit(h, res)
         count += 1
-    print(json.dumps({"n_fits": count, "fits": h.hexdigest(), "cli": cli_digest()}))
+    print(json.dumps({"n_fits": count, "fits": h.hexdigest(), "cli": cli_digest(args.loss, args.null)}))
 
 
 if __name__ == "__main__":
