@@ -338,13 +338,13 @@ def _read_table_file(path: Path) -> np.ndarray:
                 vals = [float(p) for p in parts]
             except ValueError:
                 raise ConfigError(f"{path}:{ln}: non-numeric entry")
+            if rows and len(vals) != len(rows[0]):
+                raise ConfigError(
+                    f"{path}:{ln}: row has {len(vals)} entries, expected {len(rows[0])}"
+                )
             rows.append(vals)
     if not rows:
         raise ConfigError(f"{path}: empty table")
-    width = len(rows[0])
-    for i, r in enumerate(rows, 1):
-        if len(r) != width:
-            raise ConfigError(f"{path}: row {i} has {len(r)} entries, expected {width}")
     return np.array(rows)
 
 

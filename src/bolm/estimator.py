@@ -28,8 +28,10 @@ reject, and changes no result.  A one-group fit never screens.
 
 Beta-dependent penalties (the ordering terms) are re-expanded around
 the current iterate once per scoring step and held fixed within it.
-``penalties.StepPenalty`` holds the penalty of a step, and the noise
-floor that the score is tested against.
+``penalties.PenaltyOperator`` holds the penalty of a step, and the noise
+floor that the score is tested against.  A trial is scored one way: a
+replicate with an incompatible predictor scores -inf, every other its
+penalized log-likelihood.
 
 ``fit_batch`` runs the iteration for several datasets in lockstep on a
 leading replicate axis; ``fit`` is a batch of one.  Every replicate gets
@@ -47,7 +49,7 @@ from scipy.special import logit
 
 from .link_map import IncompatibleEta, _cells_unchecked, d_pi_d_eta_batch
 from .model_core import Dataset, ModelSpec, ParamLayout, design_matrices
-from .penalties import PenaltyConfig, StepPenalty, ordering_state
+from .penalties import PenaltyConfig, PenaltyOperator, ordering_state
 
 
 @dataclass(frozen=True)
@@ -101,29 +103,18 @@ class FitResult:
 
 
 class _Arrays:
-    """Design, counts and weights in stacked form.
-
-    Built from one dataset the arrays are X (G, n_eta, p), Y (G, cells)
-    and n (G,).  ``stacked`` builds them for datasets with one group
-    count, with a leading replicate axis.  Every method takes either and
-    gives each replicate the arithmetic it would get alone.
+    """Design, counts and weights of datasets with one group count,
+    stacked on a leading replicate axis: X (R, G, n_eta, p), Y (R, G,
+    cells) and n (R, G).  Indexing with an integer gives one dataset's
+    arrays without that axis.  Every method takes either and gives each
+    replicate the arithmetic it would get alone.
     """
 
-    def __init__(self, dataset: Dataset, spec: ModelSpec):
+    def __init__(self, datasets: list[Dataset], spec: ModelSpec):
         self.pair = spec.pair
-        self.X = design_matrices(spec, dataset)
-        self.Y = dataset.count_matrix()
+        self.X = np.stack([design_matrices(spec, ds) for ds in datasets])
+        self.Y = np.stack([ds.count_matrix() for ds in datasets])
         self.n = self.Y.sum(axis=-1)
-
-    @classmethod
-    def stacked(cls, datasets: list[Dataset], spec: ModelSpec) -> "_Arrays":
-        parts = [cls(ds, spec) for ds in datasets]
-        out = cls.__new__(cls)
-        out.pair = spec.pair
-        out.X = np.stack([a.X for a in parts])
-        out.Y = np.stack([a.Y for a in parts])
-        out.n = np.stack([a.n for a in parts])
-        return out
 
     def __getitem__(self, rows) -> "_Arrays":
         """The replicates ``rows`` of a stack; an integer gives one dataset."""
@@ -151,11 +142,8 @@ class _Arrays:
         """
         pi = self._cells_of(self.X, beta)
         ok = (pi > 0).all(axis=(-2, -1))  # NaN marks a non-finite predictor
-        if ok.all():
+        with np.errstate(divide="ignore", invalid="ignore"):
             loglik = np.sum(self.Y * np.log(pi), axis=(-2, -1))
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                loglik = np.sum(self.Y * np.log(pi), axis=(-2, -1))
         return pi, ok, loglik
 
     def screen(self, beta: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -244,7 +232,7 @@ def default_start(dataset: Dataset, spec: ModelSpec) -> np.ndarray:
 
 def _step_halving(
     arrays: _Arrays,
-    frozen: StepPenalty,
+    frozen: PenaltyOperator,
     beta: np.ndarray,
     direction: np.ndarray,
     lp: np.ndarray,
@@ -273,13 +261,9 @@ def _step_halving(
             good = np.zeros(len(candidate), dtype=bool)
         else:
             pi, ok, loglik = arrays.cells(candidate)
-            if ok.all():
-                lp_new = loglik - 0.5 * frozen.tau(candidate)
-            else:
+            if not ok.all():
                 suspects = np.flatnonzero(~(pi > 0).all(axis=(0, 2)))
-                lp_new = np.full(ok.shape, -np.inf)
-                lp_new[ok] = loglik[ok] - 0.5 * frozen[ok].tau(candidate[ok])
-            good = lp_new >= floor
+            good = np.where(ok, loglik - 0.5 * frozen.tau(candidate), -np.inf) >= floor
         if waiting is None:
             if good.all():  # all accepted at once: no copies
                 return candidate, pi, loglik, good, suspects
@@ -348,13 +332,13 @@ def _fit_stack(
     options: FitOptions,
 ) -> list[FitResult]:
     """Fisher scoring on datasets that share a group count."""
-    arrays = _Arrays.stacked(datasets, spec)
+    arrays = _Arrays(datasets, spec)
     layout = spec.layout
     R = len(datasets)
     ordering = penalty.orderings
-    step = StepPenalty(penalty, spec)
+    step = PenaltyOperator(penalty, spec)
 
-    def freeze(arrays: _Arrays, beta: np.ndarray) -> StepPenalty:
+    def freeze(arrays: _Arrays, beta: np.ndarray) -> PenaltyOperator:
         # without ordering terms the penalty never changes
         return ordering_state(step, arrays.X, arrays.n, beta) if ordering else step
 
@@ -470,7 +454,7 @@ def _fit_stack(
 def penalized_score(
     beta: np.ndarray, dataset: Dataset, spec: ModelSpec, P: np.ndarray
 ) -> np.ndarray:
-    arrays = _Arrays(dataset, spec)
+    arrays = _Arrays([dataset], spec)[0]
     pi, _ = arrays.probs(np.asarray(beta, dtype=float))
     score, _ = arrays.derivatives(pi)
     return score - P @ np.asarray(beta, dtype=float)
@@ -491,7 +475,7 @@ def unpenalized_fisher_batch(
     size = spec.layout.size
     out = np.empty((len(datasets), size, size))
     for members in _by_group_count(datasets):
-        arrays = _Arrays.stacked([datasets[r] for r in members], spec)
+        arrays = _Arrays([datasets[r] for r in members], spec)
         pi, _ = arrays.probs(beta)
         out[members] = arrays.derivatives(pi)[1]
     return out

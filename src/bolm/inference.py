@@ -209,11 +209,9 @@ def structural_df(
     return df
 
 
-def _block_lambdas(config: PenaltyConfig | None, spec: ModelSpec) -> dict[tuple[int, str], float]:
+def _block_lambdas(config: PenaltyConfig, spec: ModelSpec) -> dict[tuple[int, str], float]:
     """Largest smoothing level applied to each (equation, variable) block."""
     out: dict[tuple[int, str], float] = {}
-    if config is None:
-        return out
     for (key, var), lam, _ in config.block_operators(spec):
         prev = out.get((key, var), 0.0)
         if lam > prev:

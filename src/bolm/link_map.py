@@ -68,8 +68,8 @@ def pi_to_eta(pi: np.ndarray, pair: OrdinalPair | None = None) -> np.ndarray:
     return eta
 
 
-def plackett_inverse(mu_r, mu_c, psi):
-    """Joint cumulative probability with given margins and odds ratio.
+def _plackett_inverse(mu_r: np.ndarray, mu_c: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Joint cumulative probability with given margins and odds ratios psi > 0.
 
     Root of psi = mu(1-mu_r-mu_c+mu) / ((mu_r-mu)(mu_c-mu)), equal to
     (a - sqrt(a^2 + b)) / (2 (psi-1)) with a = 1 + (mu_r+mu_c)(psi-1)
@@ -78,11 +78,6 @@ def plackett_inverse(mu_r, mu_c, psi):
     Evaluated in equivalent cancellation-free forms so the function is
     smooth through psi = 1 and stable for extreme odds ratios.
     """
-    mu_r = np.asarray(mu_r, dtype=float)
-    mu_c = np.asarray(mu_c, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    if (psi <= 0).any():
-        raise ValueError("odds ratio must be positive")
     psi, prod, s = np.broadcast_arrays(psi, mu_r * mu_c, mu_r + mu_c)
 
     near_one = np.abs(psi - 1.0) < 1e-8
@@ -96,9 +91,6 @@ def plackett_inverse(mu_r, mu_c, psi):
             break
         if part.any():
             out[part] = form(prod[part], s[part], psi[part])
-
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -151,7 +143,7 @@ def _cells_unchecked(eta: np.ndarray, pair: OrdinalPair) -> np.ndarray:
     psi = np.exp(log_psi).reshape(m, pair.m1, pair.m2)
 
     mu = np.zeros((m, pair.d1 + 1, pair.d2 + 1))
-    mu[:, 1:-1, 1:-1] = plackett_inverse(
+    mu[:, 1:-1, 1:-1] = _plackett_inverse(
         mu_r[:, :, None], mu_c[:, None, :], psi
     ).reshape(m, pair.m1, pair.m2)
     mu[:, 1:-1, -1] = mu_r

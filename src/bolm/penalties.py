@@ -19,6 +19,10 @@ predictors,
 with d_eta the consecutive predictor differences of margin k at profile
 i.  Its indicator depends on beta, so it is rebuilt each scoring step.
 
+``PenaltyOperator`` evaluates a config within one scoring step: block
+terms in factored form, ordering terms as ``ordering_state`` froze them.
+``build_penalty_matrix`` and ``penalty_value`` take block terms only.
+
 Only category-dependent blocks (and intercept blocks of length > 1) are
 penalizable; a single collapsed association intercept silently receives
 no penalty columns.
@@ -174,77 +178,6 @@ def _penalizable_block(layout: ParamLayout, k: int, var: str):
     return b
 
 
-def build_penalty_matrix(config: PenaltyConfig, spec: ModelSpec) -> np.ndarray:
-    """Assemble P with beta' P beta equal to the summed penalty.
-
-    Rejects ordering terms: their matrix depends on beta and the data,
-    see build_ordering_penalty.
-    """
-    return PenaltyOperator(config, spec).matrix()
-
-
-def penalty_value(config: PenaltyConfig, spec: ModelSpec, beta: np.ndarray) -> float:
-    """tau(beta) for a penalty of block terms."""
-    return PenaltyOperator(config, spec).tau(np.asarray(beta, dtype=float))
-
-
-class PenaltyOperator:
-    """Static penalty kept in factored form.
-
-    Evaluating tau and P beta through the block operators K avoids the
-    catastrophic cancellation of the assembled quadratic form: near an
-    optimum K beta is tiny while beta is not, so beta' P beta computed
-    directly loses ~lambda * eps * |beta|^2 of absolute accuracy, which
-    at lambda >= 1e8 dwarfs the quantities themselves.
-    """
-
-    def __init__(self, config: PenaltyConfig, spec: ModelSpec):
-        if config.orderings:
-            raise ValueError("ordering penalty depends on beta")
-        layout = spec.layout
-        self.size = layout.size
-        self.terms = [
-            (layout.block(k, var).slice, lam, K)
-            for (k, var), lam, K in config.block_operators(spec)
-            if lam > 0.0
-        ]
-
-    def tau(self, beta: np.ndarray) -> float | np.ndarray:
-        """tau(beta); a stack of coefficient rows (..., p) gives one value
-        per row, computed as for that row alone."""
-        total = np.zeros(beta.shape[:-1])
-        for sl, lam, K in self.terms:
-            w = (K @ beta[..., sl, None])[..., 0]
-            total = total + lam * np.vecdot(w, w)
-        return float(total) if beta.ndim == 1 else total
-
-    def grad(self, beta: np.ndarray) -> np.ndarray:
-        """P beta, evaluated as sum lam K'(K beta); row by row for (..., p)."""
-        out = np.zeros(beta.shape)
-        for sl, lam, K in self.terms:
-            out[..., sl] += lam * (K.T @ (K @ beta[..., sl, None]))[..., 0]
-        return out
-
-    def matrix(self) -> np.ndarray:
-        P = np.zeros((self.size, self.size))
-        for sl, lam, K in self.terms:
-            P[sl, sl] += lam * (K.T @ K)
-        return P
-
-
-# ---------------------------------------------------------------------------
-# ordering penalty
-
-
-def marginal_difference_selector(pair: OrdinalPair) -> np.ndarray:
-    """Rows extracting consecutive marginal-predictor differences from eta."""
-    m1, m2 = pair.m1, pair.m2
-    out = np.zeros((m1 + m2 - 2, pair.n_eta))
-    out[: m1 - 1, 1 : m1 + 1] = np.diff(np.eye(m1), axis=0)
-    out[m1 - 1 :, m1 + 1 : m1 + m2 + 1] = np.diff(np.eye(m2), axis=0)
-    return out
-
-
 # Heavy difference penalties make the exact score cancel catastrophically:
 # (P beta)_j carries rounding noise of order eps * (|P| |beta|)_j, which for
 # lambda >= ~1e8 exceeds any fixed tolerance.  Convergence therefore tests
@@ -252,11 +185,17 @@ def marginal_difference_selector(pair: OrdinalPair) -> np.ndarray:
 _NOISE_SAFETY = 32.0
 
 
-class StepPenalty:
+class PenaltyOperator:
     """The penalty of one Fisher-scoring step for a stack of replicates.
 
-    Built from a config, it holds the block terms in factored form (see
-    PenaltyOperator) and their matrix P, shared by every replicate.
+    Built from a config, it holds the block terms in factored form and
+    their matrix P, shared by every replicate.  Evaluating tau and P beta
+    through the block operators K avoids the catastrophic cancellation of
+    the assembled quadratic form: near an optimum K beta is tiny while
+    beta is not, so beta' P beta computed directly loses
+    ~lambda * eps * |beta|^2 of absolute accuracy, which at lambda >= 1e8
+    dwarfs the quantities themselves.
+
     ``ordering_state`` freezes the ordering terms at one coefficient row
     per replicate: G = M X, (R, groups, rows, p), and one violation
     weight array (R, groups, rows) per term, zero off the violations.
@@ -269,14 +208,20 @@ class StepPenalty:
     """
 
     def __init__(self, config: PenaltyConfig, spec: ModelSpec):
-        self.static = PenaltyOperator(PenaltyConfig(config.blocks), spec)
+        layout = spec.layout
+        self.size = layout.size
+        self.terms = [
+            (layout.block(k, var).slice, lam, K)
+            for (k, var), lam, K in config.block_operators(spec)
+            if lam > 0.0
+        ]
         self.orderings = config.orderings
         self.pair = spec.pair
-        self.P = self.static.matrix()
+        self.P = self.matrix()
         self.G = None  # until ordering_state freezes the ordering terms
         self.coefs: tuple[np.ndarray, ...] = ()
 
-    def _frozen(self, G, coefs, P=None) -> "StepPenalty":
+    def _frozen(self, G, coefs, P=None) -> "PenaltyOperator":
         """A copy with ordering terms G and coefs; P is assembled unless given."""
         out = copy.copy(self)
         out.G, out.coefs = G, coefs
@@ -286,7 +231,7 @@ class StepPenalty:
         out.P = P
         return out
 
-    def __getitem__(self, keep: np.ndarray) -> "StepPenalty":
+    def __getitem__(self, keep: np.ndarray) -> "PenaltyOperator":
         """The replicates flagged in the boolean mask ``keep``."""
         if self.G is None:
             return self
@@ -298,25 +243,40 @@ class StepPenalty:
         R = len(self.G)
         return self.G.reshape(R, -1, self.G.shape[-1]), [c.reshape(R, 1, -1) for c in self.coefs]
 
-    def tau(self, beta: np.ndarray) -> np.ndarray:
-        out = self.static.tau(beta)
+    def tau(self, beta: np.ndarray) -> float | np.ndarray:
+        """tau(beta); a stack of coefficient rows (..., p) gives one value
+        per row, computed as for that row alone."""
+        total = np.zeros(beta.shape[:-1])
+        for sl, lam, K in self.terms:
+            w = (K @ beta[..., sl, None])[..., 0]
+            total = total + lam * np.vecdot(w, w)
         if self.G is None:
-            return out
-        total = 0
+            return float(total) if beta.ndim == 1 else total
+        ordering = 0
         for (_, _, margin), coef in zip(self.orderings, self.coefs):
             v = (self.G @ beta[:, None, :, None])[..., 0] - margin
-            total = total + (coef * v * v).sum(axis=(-2, -1))
-        return out + total
+            ordering = ordering + (coef * v * v).sum(axis=(-2, -1))
+        return total + ordering
 
     def grad(self, beta: np.ndarray) -> np.ndarray:
-        """Gradient of tau / 2, that is P beta - q."""
-        out = self.static.grad(beta)
+        """Gradient of tau / 2, that is P beta - q, row by row for (..., p);
+        the block terms give sum lam K'(K beta)."""
+        out = np.zeros(beta.shape)
+        for sl, lam, K in self.terms:
+            out[..., sl] += lam * (K.T @ (K @ beta[..., sl, None]))[..., 0]
         if self.G is None:
             return out
         G, weights = self._rows()
         for (_, _, margin), w in zip(self.orderings, weights):
             out = out + ((w * ((G @ beta[..., None]).mT - margin)) @ G)[:, 0]
         return out
+
+    def matrix(self) -> np.ndarray:
+        """P of the block terms."""
+        P = np.zeros((self.size, self.size))
+        for sl, lam, K in self.terms:
+            P[sl, sl] += lam * (K.T @ K)
+        return P
 
     def score_tolerance(self, beta: np.ndarray, grad_tol: float) -> np.ndarray:
         """Per-component tolerance of the penalized score: grad_tol or the
@@ -333,9 +293,42 @@ class StepPenalty:
         return np.maximum(grad_tol, floor)
 
 
+def _block_terms_only(config: PenaltyConfig, spec: ModelSpec) -> PenaltyOperator:
+    if config.orderings:
+        raise ValueError("ordering penalty depends on beta")
+    return PenaltyOperator(config, spec)
+
+
+def build_penalty_matrix(config: PenaltyConfig, spec: ModelSpec) -> np.ndarray:
+    """Assemble P with beta' P beta equal to the summed penalty.
+
+    Rejects ordering terms: their matrix depends on beta and the data,
+    see build_ordering_penalty.
+    """
+    return _block_terms_only(config, spec).P
+
+
+def penalty_value(config: PenaltyConfig, spec: ModelSpec, beta: np.ndarray) -> float:
+    """tau(beta) for a penalty of block terms."""
+    return _block_terms_only(config, spec).tau(np.asarray(beta, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# ordering penalty
+
+
+def marginal_difference_selector(pair: OrdinalPair) -> np.ndarray:
+    """Rows extracting consecutive marginal-predictor differences from eta."""
+    m1, m2 = pair.m1, pair.m2
+    out = np.zeros((m1 + m2 - 2, pair.n_eta))
+    out[: m1 - 1, 1 : m1 + 1] = np.diff(np.eye(m1), axis=0)
+    out[m1 - 1 :, m1 + 1 : m1 + m2 + 1] = np.diff(np.eye(m2), axis=0)
+    return out
+
+
 def ordering_state(
-    penalty: StepPenalty, X: np.ndarray, weights: np.ndarray, beta: np.ndarray
-) -> StepPenalty:
+    penalty: PenaltyOperator, X: np.ndarray, weights: np.ndarray, beta: np.ndarray
+) -> PenaltyOperator:
     """``penalty`` with its ordering terms frozen at ``beta``.
 
     X (R, groups, n_eta, p), weights (R, groups) and beta (R, p) hold one
@@ -365,7 +358,7 @@ def build_ordering_penalty(
     observed profile, weighted by group counts.  Held fixed within one
     Fisher-scoring step by the estimator.
     """
-    step = StepPenalty(PenaltyConfig.ordering(lambda1, lambda2), spec)
+    step = PenaltyOperator(PenaltyConfig.ordering(lambda1, lambda2), spec)
     X = design_matrices(spec, dataset)[None]
     weights = dataset.counts.sum(axis=(1, 2)).astype(float)[None]
     return ordering_state(step, X, weights, np.asarray(beta, dtype=float)[None]).P[0]

@@ -188,9 +188,10 @@ _GRID = "3 1 0\n1 4 2\n0 2 5\n"
         ("# c\n3, 1, 0\n\n1,4,2\n0 ,2, 5", None),
         ("3 x 0", "{path}:1: non-numeric entry"),
         ("# only\n# comments\n", "{path}: empty table"),
+        ("# c\n1 2\n\n3", "{path}:4: row has 1 entries, expected 2"),
         (None, "data file not found: {path}"),
     ],
-    ids=["comma-comments-blank", "non-numeric", "comments-only", "missing"],
+    ids=["comma-comments-blank", "non-numeric", "comments-only", "ragged", "missing"],
 )
 def test_table_reader_forms(tmp_path, capsys, text, message):
     """A comma-separated grid with # comments and blank lines reads as the

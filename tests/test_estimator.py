@@ -250,7 +250,7 @@ def test_information_matches_score_finite_differences():
     # with the counts fixed at their expectation n pi(beta0), the score's
     # Jacobian at beta0 is exactly minus the expected information
     for dataset, spec, beta0 in _information_cases():
-        arrays = _Arrays(dataset, spec)
+        arrays = _Arrays([dataset], spec)[0]
         pi0, _ = arrays.probs(beta0)
         arrays.Y = arrays.n[:, None] * pi0
 
@@ -269,7 +269,7 @@ def test_information_matches_score_finite_differences():
 
 def test_derivatives_match_per_group_loop():
     for dataset, spec, beta0 in _information_cases():
-        arrays = _Arrays(dataset, spec)
+        arrays = _Arrays([dataset], spec)[0]
         pi, _ = arrays.probs(beta0)
         score, info = arrays.derivatives(pi)
         ref_score = np.zeros(beta0.size)
@@ -375,7 +375,7 @@ def test_screen_flags_equal_the_full_cells_of_the_screened_groups():
     across = inside + np.eye(inside.size)[-1]
     seen = set()
     for rows in ([0], [0, 1, 2]):
-        arrays = _Arrays.stacked([datasets[r] for r in rows], truth.spec)
+        arrays = _Arrays([datasets[r] for r in rows], truth.spec)
         for beta in (inside, across):
             betas = np.tile(beta, (len(rows), 1))
             pi, ok, _ = arrays.cells(betas)

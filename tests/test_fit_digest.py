@@ -17,9 +17,9 @@ def test_fit_digest_is_well_formed_and_repeatable():
     assert lines[0] == lines[1]
     assert lines[0].count("\n") == 1
     digest = json.loads(lines[0])
-    assert set(digest) == {"n_fits", "fits", "cli"}
+    assert set(digest) == {"n_fits", "fits", "cli", "helpers"}
     # 6 loss fits (UPOM, four rungs and the lambda = 0 retry) and 4 null
     # replicates at 4 levels for 2 models
     assert digest["n_fits"] == 38
-    for key in ("fits", "cli"):
+    for key in ("fits", "cli", "helpers"):
         assert len(digest[key]) == 64 and int(digest[key], 16) >= 0

@@ -98,6 +98,14 @@ def test_incompatible_eta_raises_and_mask_agrees():
     assert not mask[0]
 
 
+def test_link_map_rejects_wrong_predictor_length():
+    pair = OrdinalPair(3, 3)
+    short = np.zeros((2, pair.n_eta - 1))
+    for link in (compatible_eta_mask, eta_to_pi_batch):
+        with pytest.raises(ValueError, match="predictor length 8, expected 9"):
+            link(short, pair)
+
+
 def test_compatible_eta_mask_matches_pointwise_raises():
     rng = np.random.default_rng(9)
     pair = OrdinalPair(3, 3)
@@ -145,6 +153,8 @@ def test_d_pi_d_eta_matches_finite_differences():
         np.testing.assert_allclose(J[:, 1:], num[:, 1:], atol=5e-6)
         batch = d_pi_d_eta_batch(pi[None, :], pair)
         np.testing.assert_allclose(batch[0], J, atol=1e-12)
+        # without a pair the table's shape gives it
+        assert np.array_equal(d_pi_d_eta(pi.reshape(d1, d2)), J)
 
 
 def d_eta_d_pi(pi: np.ndarray, d1: int, d2: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from bolm.model_core import (
 from bolm.penalties import (
     PenaltyConfig,
     PenaltyOperator,
-    StepPenalty,
     build_ordering_penalty,
     build_penalty_matrix,
     difference_matrix,
@@ -221,17 +220,27 @@ def test_penalty_config_rejects_non_finite_values():
     assert PenaltyConfig.arc1({(3, INTERCEPT): 1e300}).blocks[0][2] == 1e300
 
 
+def test_penalty_config_rejects_unknown_family_order_and_stream():
+    with pytest.raises(ValueError, match="unknown penalty family 'lasso'"):
+        PenaltyConfig(blocks=(("lasso", (3, INTERCEPT), 1.0, 0),))
+    with pytest.raises(ValueError, match="difference order must be >= 1"):
+        PenaltyConfig.arc2({(3, INTERCEPT): 1.0}, {(3, INTERCEPT): 0})
+    stream5 = PenaltyConfig.arc2({(5, INTERCEPT): 1.0}, {(5, INTERCEPT): 1})
+    with pytest.raises(ValueError, match=r"arc2 stream must be 1\.\.4, got 5"):
+        stream5.block_operators(intercept_spec(3, 3))
+
+
 def test_build_penalty_matrix_rejects_ordering_family():
     spec = intercept_spec(3, 3)
     with pytest.raises(ValueError, match="ordering"):
         build_penalty_matrix(PenaltyConfig.ordering(1.0, 1.0), spec)
-    with pytest.raises(ValueError):
-        PenaltyOperator(PenaltyConfig.ordering(1.0, 1.0), spec)
+    with pytest.raises(ValueError, match="ordering"):
+        penalty_value(PenaltyConfig.ordering(1.0, 1.0), spec, np.zeros(spec.layout.size))
 
 
 def frozen_ordering(spec, dataset, beta, lambda1, lambda2, margin=0.0):
     """The ordering penalty of one replicate, frozen at ``beta``."""
-    step = StepPenalty(PenaltyConfig.ordering(lambda1, lambda2, margin), spec)
+    step = PenaltyOperator(PenaltyConfig.ordering(lambda1, lambda2, margin), spec)
     X = design_matrices(spec, dataset)
     weights = dataset.counts.sum(axis=(1, 2))
     return ordering_state(step, X[None], weights[None], beta[None])
@@ -290,7 +299,7 @@ def test_step_penalty_stack_equals_each_replicate_alone():
         PenaltyConfig.ordering(1.0, 3.0),
         PenaltyConfig.ordering(0.5, 2.0, margin=0.1),
     )
-    step = StepPenalty(config, spec)
+    step = PenaltyOperator(config, spec)
     stack = ordering_state(step, X, weights, beta)
     assert stack.P.shape == (2, beta.shape[1], beta.shape[1])
     assert all(c.any() and not c.all() for c in stack.coefs)  # some rows violate

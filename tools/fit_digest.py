@@ -11,12 +11,22 @@ every ``FitResult`` field of
 - ``fit_batch`` on null-calibration replicates 0 .. N-1 of that seed at
   lambda 0, 1, 10 and 50, for the full and the reduced model;
 
-and ``cli``, the SHA-256 of the exit code, stdout, stderr and output files
+``cli``, the SHA-256 of the exit code, stdout, stderr and output files
 of ``bolm.cli.main`` on each shipped config, with the repository path
 replaced by a placeholder.  The two ``simulate`` configs run from copies
 whose ``replicates`` is N, ``--loss`` for the loss benchmark and
-``--null`` for the null calibration.  Arrays are hashed as bytes,
-everything else by ``repr``.
+``--null`` for the null calibration.  ``helpers``, the SHA-256 of the
+public helpers that a fit does not call:
+
+- ``build_penalty_matrix`` and ``penalty_value`` at a fixed beta for the
+  shipped penalized ``fit`` configs, and ``build_penalty_matrix`` for the
+  block terms of the loss benchmark's smoothing ladder;
+- ``build_ordering_penalty`` on loss replicate 0 at ``beta_true`` and at
+  a beta with the first margin's cut points reversed;
+- ``penalized_score`` and ``unpenalized_fisher`` at ``beta_true`` on that
+  replicate, and ``unpenalized_fisher_batch`` on the null replicates.
+
+Arrays are hashed as bytes, everything else by ``repr``.
 
 The script imports the package from the ``src`` beside it, so a copy of
 this file in another checkout digests that checkout's code: two checkouts
@@ -41,11 +51,24 @@ sys.path.insert(0, str(REPO / "src"))
 import numpy as np  # noqa: E402
 
 from bolm import cli  # noqa: E402
-from bolm.estimator import FitOptions, fit, fit_batch  # noqa: E402
+from bolm.estimator import (  # noqa: E402
+    FitOptions,
+    fit,
+    fit_batch,
+    penalized_score,
+    unpenalized_fisher,
+    unpenalized_fisher_batch,
+)
 from bolm.inference import (  # noqa: E402
     _null_penalty,
     default_null_calibration_truth,
     with_global_effect,
+)
+from bolm.penalties import (  # noqa: E402
+    PenaltyConfig,
+    build_ordering_penalty,
+    build_penalty_matrix,
+    penalty_value,
 )
 from bolm.simulation import (  # noqa: E402
     default_loss_benchmark_truth,
@@ -78,6 +101,9 @@ CLI_JOBS = (
     ("simulate", "loss_benchmark"),
     ("simulate", "null_calibration"),
 )
+
+
+PENALIZED_FITS = ("os_arc1", "os_ridge", "os_arc2_s2", "os_arc2_s3", "os_arc2_s4")
 
 
 def _update(h, name: str, value) -> None:
@@ -144,6 +170,41 @@ def cli_digest(loss: int, null: int) -> str:
     return h.hexdigest()
 
 
+def helpers_digest(null: int) -> str:
+    h = hashlib.sha256()
+    for name in PENALIZED_FITS:
+        config = REPO / "configs" / f"{name}.json"
+        payload = json.loads(config.read_text())
+        dataset, cov_names, _ = cli._build_dataset(payload["dataset"], config.parent)
+        spec = cli._parse_model(payload["model"], dataset.pair, cov_names)
+        penalty = cli._parse_penalty(payload["penalty"])
+        beta = np.random.default_rng(SEED).standard_normal(spec.layout.size)
+        _update(h, f"{name}/matrix", build_penalty_matrix(penalty, spec))
+        _update(h, f"{name}/value", penalty_value(penalty, spec, beta))
+
+    truth = default_loss_benchmark_truth()
+    ladder = {
+        lam: build_penalty_matrix(PenaltyConfig(smoothing_config(truth.spec, lam).blocks), truth.spec)
+        for lam in LADDER[1:]
+    }
+    for lam, P in ladder.items():
+        _update(h, f"ladder/{lam}", P)
+    dataset = sample_dataset(truth, SEED, stream=0)
+    reversed_margin = truth.beta_true.copy()
+    cuts = truth.spec.layout.block(1).slice
+    reversed_margin[cuts] = reversed_margin[cuts][::-1]
+    for label, beta in (("true", truth.beta_true), ("reversed", reversed_margin)):
+        P = build_ordering_penalty(truth.spec, dataset, beta, 1.0, 2.0)
+        _update(h, f"ordering/{label}", P)
+    _update(h, "score", penalized_score(truth.beta_true, dataset, truth.spec, ladder[10.0]))
+    _update(h, "fisher", unpenalized_fisher(truth.beta_true, dataset, truth.spec))
+
+    truth = default_null_calibration_truth()
+    datasets = [sample_dataset(truth, SEED, stream=r) for r in range(null)]
+    _update(h, "fisher_batch", unpenalized_fisher_batch(truth.beta_true, datasets, truth.spec))
+    return h.hexdigest()
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--loss", type=int, default=12, help="loss benchmark replicates")
@@ -154,7 +215,12 @@ def main(argv=None) -> None:
     for res in itertools.chain(loss_fits(args.loss), null_fits(args.null)):
         _hash_fit(h, res)
         count += 1
-    print(json.dumps({"n_fits": count, "fits": h.hexdigest(), "cli": cli_digest(args.loss, args.null)}))
+    print(json.dumps({
+        "n_fits": count,
+        "fits": h.hexdigest(),
+        "cli": cli_digest(args.loss, args.null),
+        "helpers": helpers_digest(args.null),
+    }))
 
 
 if __name__ == "__main__":
