@@ -26,6 +26,14 @@ work group by group, so the screened cells are the full evaluation's
 bit for bit: the screen rejects only trials the full evaluation would
 reject, and changes no result.  A one-group fit never screens.
 
+A screen that rejects a trial changes nothing, so the screens of the
+next trials are those of beta + (step 2^-j) direction for consecutive j,
+and step * 0.5**j is exact.  One screen call covers a ladder of up to
+``_LADDER`` rungs: the trials before the first rung that some waiting
+replicate passes are rejected, that trial runs in full with no second
+screen, and the next trial screens again.  So the full trials, the
+accepted steps and the suspects are those of one screen per trial.
+
 Beta-dependent penalties (the ordering terms) are re-expanded around
 the current iterate once per scoring step and held fixed within it.
 ``penalties.PenaltyOperator`` holds the penalty of a step, and the noise
@@ -41,6 +49,7 @@ any result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +117,14 @@ class _Arrays:
     cells) and n (R, G).  Indexing with an integer gives one dataset's
     arrays without that axis.  Every method takes either and gives each
     replicate the arithmetic it would get alone.
+
+    ``derivatives`` writes its two (..., G*q, p) products into one
+    float64 work array, which grows on demand and is shared with the
+    replicates taken by indexing.  Fresh products of that size (460,800
+    bytes each at G = 400, q = 9, p = 16) go back to the kernel when
+    freed, so every call faulted their pages in again: about 256 minor
+    faults a call and 70,000 per loss-benchmark pass, 0.1 s of system
+    time.  Nothing the methods return is a view of the work array.
     """
 
     def __init__(self, datasets: list[Dataset], spec: ModelSpec):
@@ -115,11 +132,12 @@ class _Arrays:
         self.X = np.stack([design_matrices(spec, ds) for ds in datasets])
         self.Y = np.stack([ds.count_matrix() for ds in datasets])
         self.n = self.Y.sum(axis=-1)
+        self._work = np.empty(0)
 
     def __getitem__(self, rows) -> "_Arrays":
         """The replicates ``rows`` of a stack; an integer gives one dataset."""
         out = _Arrays.__new__(_Arrays)
-        out.pair = self.pair
+        out.pair, out._work = self.pair, self._work
         out.X, out.Y, out.n = self.X[rows], self.Y[rows], self.n[rows]
         return out
 
@@ -146,9 +164,11 @@ class _Arrays:
             loglik = np.sum(self.Y * np.log(pi), axis=(-2, -1))
         return pi, ok, loglik
 
-    def screen(self, beta: np.ndarray, groups: np.ndarray) -> np.ndarray:
-        """The flags ``cells`` would give if the stack held ``groups`` only."""
-        return (self._cells_of(self.X[..., groups, :, :], beta) > 0).all(axis=(-2, -1))
+    def screen(self, ladder: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        """The flags ``cells`` would give if the stack held ``groups``
+        only, at each rung of ``ladder``: (..., L, p) gives (..., L)."""
+        X = self.X[..., None, groups, :, :]
+        return (self._cells_of(X, ladder) > 0).all(axis=(-2, -1))
 
     def probs(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cells and log-likelihoods; raises IncompatibleEta unless every
@@ -165,12 +185,21 @@ class _Arrays:
         # groups and cells stacked into one (G*q, p) operand per replicate,
         # so score and information are plain matmuls: on these small
         # arrays a per-call einsum path search costs more than the arithmetic
-        Bf = (J @ self.X).reshape(*lead, -1, self.X.shape[-1])
+        shape = (*J.shape[:-1], self.X.shape[-1])
+        size = math.prod(shape)
+        if self._work.size < 2 * size:
+            self._work = np.empty(2 * size)
+        JX = np.matmul(J, self.X, out=self._work[:size].reshape(shape))
+        Bf = JX.reshape(*lead, -1, shape[-1])
         score = (Bf.mT @ (self.Y / pi).reshape(*lead, -1, 1))[..., 0]
         w = (self.n[..., None] / pi).reshape(*lead, -1, 1)
-        info = Bf.mT @ (Bf * w)
+        Bw = np.multiply(Bf, w, out=self._work[size : 2 * size].reshape(Bf.shape))
+        info = Bf.mT @ Bw
         return score, info
 
+
+# rungs one screen call covers; 31 cost more than 8, as the rows grow
+_LADDER = 8
 
 # LAPACK's Cholesky factor and solve, as scipy's cho_factor and cho_solve
 # call them; see _solve_spd
@@ -253,17 +282,24 @@ def _step_halving(
     floor = lp - 1e-10 * (1.0 + np.abs(lp))
     # the replicates still waiting all stand at the same trial, so they
     # share one step length
-    step = options.step_length
-    waiting = None  # every replicate, until a trial splits them
-    for _ in range(options.step_halvings + 1):
+    step, trial, trials = options.step_length, 0, options.step_halvings + 1
+    waiting = None  # every replicate, until a full trial splits them
+    while trial < trials:
+        if 0 < suspects.size < n_groups:
+            # the trials before the first rung that passes are rejected
+            rungs = min(_LADDER, trials - trial)
+            ladder = step * 0.5 ** np.arange(rungs)
+            flags = arrays.screen(beta[:, None] + ladder[:, None] * direction[:, None], suspects)
+            passed = flags.any(axis=0)  # by some waiting replicate
+            skip = int(passed.argmax()) if passed.any() else rungs
+            trial, step = trial + skip, step * 0.5**skip
+            if skip == rungs:
+                continue
         candidate = beta + step * direction
-        if 0 < suspects.size < n_groups and not arrays.screen(candidate, suspects).any():
-            good = np.zeros(len(candidate), dtype=bool)
-        else:
-            pi, ok, loglik = arrays.cells(candidate)
-            if not ok.all():
-                suspects = np.flatnonzero(~(pi > 0).all(axis=(0, 2)))
-            good = np.where(ok, loglik - 0.5 * frozen.tau(candidate), -np.inf) >= floor
+        pi, ok, loglik = arrays.cells(candidate)
+        if not ok.all():
+            suspects = np.flatnonzero(~(pi > 0).all(axis=(0, 2)))
+        good = np.where(ok, loglik - 0.5 * frozen.tau(candidate), -np.inf) >= floor
         if waiting is None:
             if good.all():  # all accepted at once: no copies
                 return candidate, pi, loglik, good, suspects
@@ -278,7 +314,10 @@ def _step_halving(
             arrays, frozen = arrays[keep], frozen[keep]
             if not waiting.size:
                 break
-        step *= 0.5
+        trial, step = trial + 1, step * 0.5
+    if waiting is None:  # every trial failed its screen
+        none = np.zeros(R, dtype=bool)
+        return np.empty_like(beta), np.empty(arrays.Y.shape), np.empty(R), none, suspects
     return (*new, accepted, suspects)
 
 

@@ -1,3 +1,7 @@
+import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +9,7 @@ import pytest
 
 from bolm.estimator import (
     FitOptions,
+    FitResult,
     _Arrays,
     default_start,
     deviance_g2,
@@ -36,6 +41,7 @@ from bolm.simulation import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SRC = DATA.parent / "src"
 
 
 def os_dataset() -> Dataset:
@@ -296,26 +302,22 @@ def test_deviance_matches_direct_formula():
     assert deviance_g2(res) == pytest.approx(direct, rel=1e-12)
 
 
-_FIT_FIELDS = (
-    "beta_hat", "loglik", "penalty_value", "cov", "edf", "iterations",
-    "converged", "failure_reason", "fitted_probs", "lp_trace",
-)
+def assert_same_fit(got: FitResult, want: FitResult) -> None:
+    """Every field of two fits equal bit for bit (NaN equal to NaN)."""
+    for field in dataclasses.fields(FitResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, (np.ndarray, tuple, float)):
+            assert np.array_equal(a, b, equal_nan=True), field.name
+        else:
+            assert a is b or a == b, field.name
 
 
 def assert_batch_equals_solo(datasets, spec, penalty=None):
     batch = fit_batch(datasets, spec, penalty)
     assert len(batch) == len(datasets)
     for dataset, got in zip(datasets, batch):
-        alone = fit(dataset, spec, penalty)
         assert got.dataset is dataset
-        for name in _FIT_FIELDS:
-            a, b = getattr(got, name), getattr(alone, name)
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b, equal_nan=True), name
-            elif isinstance(a, float) and np.isnan(a):
-                assert np.isnan(b), name
-            else:
-                assert a == b, name
+        assert_same_fit(got, fit(dataset, spec, penalty))
     return batch
 
 
@@ -347,8 +349,9 @@ def test_fit_batch_matches_solo_fits_through_failures_and_ordering():
 
 def _count_trials(monkeypatch) -> dict[str, int]:
     """Count full cell evaluations (the start's included), the incompatible
-    ones, and the trials a screen rejected."""
-    counts = {"full": 0, "incompatible": 0, "rejected": 0}
+    ones, the screen calls, and the trials a screen rejected: the rungs of
+    its ladder before the first one that some replicate passes."""
+    counts = {"full": 0, "incompatible": 0, "screens": 0, "rejected": 0}
     cells, screen = _Arrays.cells, _Arrays.screen
 
     def counted_cells(self, beta):
@@ -357,9 +360,11 @@ def _count_trials(monkeypatch) -> dict[str, int]:
         counts["incompatible"] += int(not out[1].all())
         return out
 
-    def counted_screen(self, beta, groups):
-        out = screen(self, beta, groups)
-        counts["rejected"] += int(not out.any())
+    def counted_screen(self, ladder, groups):
+        out = screen(self, ladder, groups)
+        passed = out.any(axis=0)
+        counts["screens"] += 1
+        counts["rejected"] += int(passed.argmax()) if passed.any() else passed.size
         return out
 
     monkeypatch.setattr(_Arrays, "cells", counted_cells)
@@ -367,9 +372,13 @@ def _count_trials(monkeypatch) -> dict[str, int]:
     return counts
 
 
-def test_screen_flags_equal_the_full_cells_of_the_screened_groups():
+def _loss_datasets(replicates: int) -> tuple:
     truth = default_loss_benchmark_truth(n=400)
-    datasets = [sample_dataset(truth, seed=20260816, stream=r) for r in range(3)]
+    return truth, [sample_dataset(truth, seed=20260816, stream=r) for r in range(replicates)]
+
+
+def test_screen_flags_equal_the_full_cells_of_the_screened_groups():
+    truth, datasets = _loss_datasets(3)
     inside = truth.beta_true
     # a few groups of replicates 0 and 2 break, none of replicate 1
     across = inside + np.eye(inside.size)[-1]
@@ -385,20 +394,30 @@ def test_screen_flags_equal_the_full_cells_of_the_screened_groups():
                     continue
                 screened = arrays._cells_of(arrays.X[..., groups, :, :], betas)
                 assert np.array_equal(screened, pi[..., groups, :], equal_nan=True)
-                flags = arrays.screen(betas, groups)
+                flags = arrays.screen(betas[:, None], groups)
                 want = (pi[..., groups, :] > 0).all(axis=(-2, -1))
-                assert flags.shape == (len(rows),)
-                assert np.array_equal(flags, want)
+                assert flags.shape == (len(rows), 1)
+                assert np.array_equal(flags[:, 0], want)
                 # a screen never rejects a replicate the full evaluation keeps
-                assert not (ok & ~flags).any()
-                seen.update(flags.tolist())
+                assert not (ok & ~flags[:, 0]).any()
+                seen.update(flags.ravel().tolist())
+        # a ladder of halved steps from inside towards across: each rung's
+        # flags are the full evaluation's at that rung
+        betas = np.tile(inside, (len(rows), 1))
+        rungs = 0.5 ** np.arange(6)
+        ladder = betas[:, None] + rungs[:, None] * (across - inside)
+        flags = arrays.screen(ladder, np.arange(0, 400, 3))
+        assert flags.shape == (len(rows), rungs.size)
+        for j, t in enumerate(rungs):
+            pi, _, _ = arrays.cells(betas + t * (across - inside))
+            assert np.array_equal(flags[:, j], (pi[:, ::3] > 0).all(axis=(-2, -1)))
     assert seen == {True, False}
 
 
 def test_one_group_fit_never_screens(monkeypatch):
     counts = _count_trials(monkeypatch)
 
-    def refuse(self, beta, groups):
+    def refuse(self, ladder, groups):
         raise AssertionError("screened a one-group fit")
 
     monkeypatch.setattr(_Arrays, "screen", refuse)
@@ -411,12 +430,85 @@ def test_one_group_fit_never_screens(monkeypatch):
 
 def test_screen_saves_full_trials_on_a_boundary_fit(monkeypatch):
     counts = _count_trials(monkeypatch)
-    truth = default_loss_benchmark_truth(n=400)
-    dataset = sample_dataset(truth, seed=20260816, stream=0)
+    truth, (dataset,) = _loss_datasets(1)
     res = fit(dataset, truth.spec)
     assert res.failure_reason.startswith("no acceptable step")
     trials = counts["full"] - 1 + counts["rejected"]  # the start is no trial
     assert counts["full"] < trials
+    # one screen per trial would take 113 full evaluations too
+    assert counts["full"] == 113
+    # a screen call rejects several trials at once
+    assert counts["screens"] < counts["rejected"]
+
+
+def test_screened_fits_equal_fits_with_every_trial_in_full(monkeypatch):
+    counts = _count_trials(monkeypatch)
+    truth, (dataset,) = _loss_datasets(1)
+    # unpenalized, and smoothed with the ordering penalty
+    penalties = (None, smoothing_config(truth.spec, 1.0))
+    screened = [fit(dataset, truth.spec, penalty) for penalty in penalties]
+    assert screened[0].failure_reason.endswith("at iteration 76")
+    assert counts["rejected"] > 100
+
+    def passes(self, ladder, groups):
+        return np.ones(ladder.shape[:-1], dtype=bool)
+
+    monkeypatch.setattr(_Arrays, "screen", passes)
+    for penalty, want in zip(penalties, screened):
+        assert_same_fit(fit(dataset, truth.spec, penalty), want)
+
+
+def test_derivatives_leave_no_state_in_the_work_array():
+    truth, datasets = _loss_datasets(3)
+    arrays = _Arrays(datasets, truth.spec)
+    pi_a, _ = arrays.probs(np.tile(truth.beta_true, (3, 1)))
+    pi_b, _ = arrays.probs(np.stack([default_start(ds, truth.spec) for ds in datasets]))
+    first = arrays.derivatives(pi_a)
+    arrays.derivatives(pi_b)
+    again = arrays.derivatives(pi_a)
+    mask = np.array([True, False, True])
+    cases = (
+        (again, first),
+        (arrays[mask].derivatives(pi_a[mask]),
+         _Arrays([datasets[0], datasets[2]], truth.spec).derivatives(pi_a[mask])),
+        (arrays[0].derivatives(pi_a[0]),
+         _Arrays([datasets[0]], truth.spec)[0].derivatives(pi_a[0])),
+    )
+    for got, want in cases:
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+            assert not np.shares_memory(a, arrays._work)
+    assert not any(np.shares_memory(a, arrays._work) for a in first)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+def test_derivatives_fault_in_no_fresh_pages():
+    # in a fresh interpreter: how freed pages go back to the kernel depends
+    # on what the process allocated before
+    code = """if True:
+        import resource
+        from bolm.estimator import _Arrays
+        from bolm.simulation import default_loss_benchmark_truth, sample_dataset
+        truth = default_loss_benchmark_truth(n=400)
+        dataset = sample_dataset(truth, seed=20260816, stream=0)
+        arrays = _Arrays([dataset], truth.spec)[0]
+        pi, _ = arrays.probs(truth.beta_true)
+        arrays.derivatives(pi)  # the work array's pages fault in once
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            arrays.derivatives(pi)
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    # fresh (G*q, p) products fault in about 256 pages a call at G = 400
+    assert float(done.stdout) < 32
 
 
 def test_fit_batch_splits_mixed_group_counts():
