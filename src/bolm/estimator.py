@@ -129,7 +129,7 @@ class _Arrays:
 
     def __init__(self, datasets: list[Dataset], spec: ModelSpec):
         self.pair = spec.pair
-        self.X = np.stack([design_matrices(spec, ds) for ds in datasets])
+        self.X = design_matrices(spec, datasets)
         self.Y = np.stack([ds.count_matrix() for ds in datasets])
         self.n = self.Y.sum(axis=-1)
         self._work = np.empty(0)
@@ -243,19 +243,28 @@ def _singular_text(A: np.ndarray, layout: ParamLayout) -> str:
 
 
 def default_start(dataset: Dataset, spec: ModelSpec) -> np.ndarray:
-    """Independence start: pooled-margin logits, everything else zero.
+    """Independence start: pooled-margin logits, everything else zero."""
+    return _independence_starts(dataset.pooled_counts(), spec)
+
+
+def _independence_starts(pooled: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """``default_start`` of pooled tables (..., d1, d2), one row of
+    coefficients per table; a stack of tables gets the bits of one
+    call per table.
 
     A margin containing an empty category gets add-0.5 smoothing so the
     cumulative fractions stay strictly increasing.
     """
     layout = spec.layout
-    beta = np.zeros(layout.size)
-    pooled = dataset.pooled_counts().astype(float)
-    for k, counts in ((1, pooled.sum(axis=1)), (2, pooled.sum(axis=0))):
+    pooled = pooled.astype(float)
+    beta = np.zeros(pooled.shape[:-2] + (layout.size,))
+    for k, counts in ((1, pooled.sum(-1)), (2, pooled.sum(-2))):
         if (counts == 0.0).any():
-            counts = counts + 0.5
-        frac = counts.cumsum()[:-1] / counts.sum()
-        beta[layout.block(k).slice] = logit(frac)
+            counts[(counts == 0.0).any(-1)] += 0.5
+        # the last cumulative count is the margin's total: sums of whole
+        # or half counts below 2**53 are exact in any order
+        cum = counts.cumsum(-1)
+        beta[..., layout.block(k).slice] = logit(cum[..., :-1] / cum[..., -1:])
     return beta
 
 
@@ -382,7 +391,8 @@ def _fit_stack(
         return ordering_state(step, arrays.X, arrays.n, beta) if ordering else step
 
     if options.start is None:
-        beta = np.stack([default_start(ds, spec) for ds in datasets])
+        pooled = arrays.Y.sum(axis=1).reshape(R, spec.pair.d1, spec.pair.d2)
+        beta = _independence_starts(pooled, spec)
     else:
         start = np.asarray(options.start, dtype=float).reshape(-1)
         if start.size != layout.size:

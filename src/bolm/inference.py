@@ -436,31 +436,129 @@ def gray_flattening_law(
 
 
 def _mixture_weights(weights, draws: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    # contiguous, as the shifts: the product of the squares with w sums in
+    # w's stride order, so a reversed view would draw other last bits than
+    # its copy
+    w = np.ascontiguousarray(weights, dtype=float).reshape(-1)
     if w.size == 0:
         raise ValueError("no mixture weights given")
-    if (w < 0).any():
-        raise ValueError("mixture weights must be nonnegative")
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise ValueError("mixture weights must be finite and nonnegative")
     if draws <= 0:
         raise ValueError("draw count must be positive")
     return w
 
 
-def _mixture_draws(w: np.ndarray, draws: int, seed: int, shifts=None):
-    """Chunks of ``draws`` values of sum w_j (Z_j + b_j)^2 from a
-    counter-based stream; the values do not depend on the chunk size."""
+def _mixture_shifts(shifts, w: np.ndarray) -> np.ndarray | None:
+    """The shifts b of the weights ``w``; None when there are none or all
+    are zero."""
+    if shifts is None:
+        return None
+    b = np.ascontiguousarray(shifts, dtype=float).reshape(-1)
+    if b.shape != w.shape:
+        raise ValueError("one shift per mixture weight is needed")
+    if not np.isfinite(b).all():
+        raise ValueError("mixture shifts must be finite")
+    return b if b.any() else None
+
+
+def _mixture_draws(laws, draws: int, seed: int):
+    """Chunks of ``draws`` values of sum w_j (Z_j + b_j)^2, one array per
+    (w, b) of ``laws`` (b None: no shifts).  The laws share their number
+    of weights and one counter-based stream of normals; the values do
+    not depend on the chunk size."""
+    m = laws[0][0].size
     rng = _stream_rng(seed, 0)
     remaining = draws
     # about 16,000 numbers a chunk: cache-sized, so the draws run faster
     # and add little to peak memory
-    chunk = max(1, min(remaining, 16_384 // w.size))
+    chunk = max(1, min(remaining, 16_384 // m))
+    squares = np.empty((chunk, m))
     while remaining > 0:
         k = min(chunk, remaining)
-        z = rng.standard_normal((k, w.size))
-        if shifts is not None:
-            z += shifts
-        yield np.square(z, out=z) @ w
+        z = rng.standard_normal((k, m))
+        sq = squares[:k]
+        yield [np.square(z if b is None else np.add(z, b, out=sq), out=sq) @ w for w, b in laws]
         remaining -= k
+
+
+class _Largest:
+    """The ``count`` largest of values that arrive in chunks.
+
+    They are kept in a buffer of ``count`` values plus one chunk.  A value
+    below the least of ``count`` values already seen cannot be among the
+    largest, so only the rest of a chunk is stored; a full buffer is cut
+    back to its ``count`` largest.
+    """
+
+    def __init__(self, count: int):
+        self.count = count
+        self.kept = np.empty(0)
+        self.size = 0
+        self.least = -np.inf
+
+    def add(self, values: np.ndarray) -> None:
+        if not self.kept.size:
+            # the first chunk is the largest
+            self.kept = np.empty(self.count + values.size)
+        values = values[values >= self.least]
+        if self.size + values.size > self.kept.size:
+            start = self.size - self.count
+            self.kept[: self.size].partition(start)
+            self.least = self.kept[start]
+            self.kept[: self.count] = self.kept[start : self.size]
+            self.size = self.count
+            values = values[values >= self.least]
+        self.kept[self.size : self.size + values.size] = values
+        self.size += values.size
+
+    def lowest_two(self) -> tuple[float, float]:
+        """The two least of the ``count`` largest, or the one twice."""
+        start = self.size - self.count
+        second = min(start + 1, self.size - 1)
+        kept = self.kept[: self.size]
+        kept.partition((start, second))
+        return kept[start], kept[second]
+
+
+def _mixture_quantiles(level: float, laws, draws: int = 200_000, seed: int = 0) -> list[float]:
+    """Quantiles at ``level`` of sum w_j (Z_j + b_j)^2, one for each
+    (weights, shifts) pair of ``laws``; shifts may be None.
+
+    Equal weights and no shifts make the mixture a scaled chi-squared,
+    whose quantile is exact.  Every other law takes the empirical quantile
+    of the draws that ``weighted_chisq_pvalue`` uses for the same seed,
+    in one pass over one draw set: each chunk of normals feeds every
+    law, so the laws must share their number of weights, and each gets
+    the bits of a pass of its own.  np.quantile interpolates between the
+    order statistics lo and lo + 1 of the draws, lo = floor((draws - 1)
+    level), so a law keeps only its draws - lo largest values.
+    """
+    checked = [(_mixture_weights(weights, draws), shifts) for weights, shifts in laws]
+    if not 0.0 < level < 1.0:
+        raise ValueError("quantile level must lie in (0, 1)")
+    quantiles: list[float] = []
+    drawn = []  # (index, w, b) of the laws that need draws
+    for w, shifts in checked:
+        b = _mixture_shifts(shifts, w)
+        if b is None and (w == w[0]).all():
+            quantiles.append(float(w[0] * _chi2_ppf(level, w.size)))
+        else:
+            quantiles.append(math.nan)
+            drawn.append((len(quantiles) - 1, w, b))
+    if not drawn:
+        return quantiles
+    position = (draws - 1) * level
+    lo = math.floor(position)
+    largest = [_Largest(draws - lo) for _ in drawn]
+    for values in _mixture_draws([(w, b) for _, w, b in drawn], draws, seed):
+        for top, s in zip(largest, values):
+            top.add(s)
+    for (i, _, _), top in zip(drawn, largest):
+        # np.quantile of the two order statistics at the fraction of the
+        # position is its interpolation over all the draws, bit for bit
+        quantiles[i] = float(np.quantile(np.array(top.lowest_two()), position - lo))
+    return quantiles
 
 
 def weighted_chisq_pvalue(
@@ -476,7 +574,7 @@ def weighted_chisq_pvalue(
     reproducible for a given seed regardless of chunk size.
     """
     w = _mixture_weights(weights, draws)
-    hits = sum(int((s > statistic).sum()) for s in _mixture_draws(w, draws, seed))
+    hits = sum(int((s > statistic).sum()) for s, in _mixture_draws([(w, None)], draws, seed))
     p = hits / draws
     se = math.sqrt(p * (1.0 - p) / draws)
     return float(p), float(se)
@@ -495,24 +593,7 @@ def weighted_chisq_quantile(
     whose quantile is exact.  Otherwise it is the empirical quantile of
     the draws that ``weighted_chisq_pvalue`` uses for the same seed.
     """
-    w = _mixture_weights(weights, draws)
-    if not 0.0 < level < 1.0:
-        raise ValueError("quantile level must lie in (0, 1)")
-    if shifts is not None:
-        shifts = np.asarray(shifts, dtype=float).reshape(-1)
-        if shifts.shape != w.shape:
-            raise ValueError("one shift per mixture weight is needed")
-        if not shifts.any():
-            shifts = None
-    if shifts is None and (w == w[0]).all():
-        return float(w[0] * _chi2_ppf(level, w.size))
-    # filled chunk by chunk so that the draws are held only once
-    values = np.empty(draws)
-    filled = 0
-    for s in _mixture_draws(w, draws, seed, shifts):
-        values[filled : filled + s.size] = s
-        filled += s.size
-    return float(np.quantile(values, level, overwrite_input=True))
+    return _mixture_quantiles(level, [(weights, shifts)], draws, seed)[0]
 
 
 def _excluded_indices(spec: ModelSpec, blocks) -> np.ndarray:
@@ -810,7 +891,9 @@ def simulate_lrp_null(
     Each level also gets the statistic's own reference:
     ``gray_flattening_law`` at the true coefficients, with the mean
     unpenalized information over the simulated designs and the full
-    model's penalty, and a 5% critical value from one fixed draw set.
+    model's penalty, and a 5% critical value.  The critical values of all
+    levels come from one fixed draw set (seed 0, 200,000 draws), taken in
+    one pass.
     """
     if truth is None:
         truth = default_null_calibration_truth()
@@ -848,11 +931,13 @@ def simulate_lrp_null(
 
     cutoff = float(_chi2_ppf(0.95, df))
     tested = np.arange(block.start, block.start + block.length)
-    summaries: list[LambdaNullSummary] = []
+    laws = []
     for lam in lambdas:
         P = build_penalty_matrix(_null_penalty(lam, truth.spec), truth.spec)
-        weights, shifts = gray_flattening_law(F, tested, P, truth.beta_true)
-        mixture_cutoff = weighted_chisq_quantile(0.95, weights, shifts)
+        laws.append(gray_flattening_law(F, tested, P, truth.beta_true))
+    cutoffs = _mixture_quantiles(0.95, laws)
+    summaries: list[LambdaNullSummary] = []
+    for lam, (weights, shifts), mixture_cutoff in zip(lambdas, laws, cutoffs):
         stats_lam = np.array(
             [r.statistic for r in records if r.lam == lam and r.converged]
         )

@@ -71,11 +71,21 @@ def group_profiles(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``inverse``, the profile of each row; profiles are numbered in the
     order they are first seen.
     """
-    _, first, inverse = np.unique(
-        rows, axis=0, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse.reshape(-1)]
+    n, k = rows.shape
+    if not k:
+        # rows without covariates are all one profile
+        return np.zeros(min(n, 1), dtype=np.intp), np.zeros(n, dtype=np.intp)
+    # a stable sort keeps equal rows in their order, so the first row of
+    # each run of equal rows is its profile's first
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = order[starts]
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    by_sight = np.argsort(first)
+    return first[by_sight], np.argsort(by_sight)[inverse]
 
 
 def _checked_counts(counts: np.ndarray) -> np.ndarray:
@@ -380,12 +390,21 @@ def build_design_matrix(spec: ModelSpec, covariates: np.ndarray) -> np.ndarray:
     return X
 
 
-def design_matrices(spec: ModelSpec, dataset: Dataset) -> np.ndarray:
-    """Stacked design matrices, shape (n_groups, n_eta, n_params)."""
-    if dataset.pair != spec.pair:
-        raise ValueError("dataset and spec disagree on category counts")
-    if dataset.n_covariates != len(spec.covariate_names):
-        raise ValueError("dataset and spec disagree on covariate count")
+def design_matrices(spec: ModelSpec, data: Dataset | list[Dataset]) -> np.ndarray:
+    """Stacked design matrices of a dataset, (n_groups, n_eta, n_params).
+
+    A list of datasets with one group count gives theirs on a leading
+    replicate axis, (R, n_groups, n_eta, n_params), from one affine
+    product.  Every entry is one covariate value or a constant, so a
+    dataset's matrices do not depend on the rest of the stack.
+    """
+    datasets = [data] if isinstance(data, Dataset) else data
+    for dataset in datasets:
+        if dataset.pair != spec.pair:
+            raise ValueError("dataset and spec disagree on category counts")
+        if dataset.n_covariates != len(spec.covariate_names):
+            raise ValueError("dataset and spec disagree on covariate count")
     X0, S = spec.affine_design
-    x = dataset.covariates
-    return X0 + (x @ S.reshape(len(S), X0.size)).reshape(len(x), *X0.shape)
+    x = np.stack([dataset.covariates for dataset in datasets])
+    X = X0 + (x @ S.reshape(len(S), X0.size)).reshape(*x.shape[:2], *X0.shape)
+    return X[0] if isinstance(data, Dataset) else X

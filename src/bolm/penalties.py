@@ -359,6 +359,6 @@ def build_ordering_penalty(
     Fisher-scoring step by the estimator.
     """
     step = PenaltyOperator(PenaltyConfig.ordering(lambda1, lambda2), spec)
-    X = design_matrices(spec, dataset)[None]
+    X = design_matrices(spec, [dataset])
     weights = dataset.counts.sum(axis=(1, 2)).astype(float)[None]
     return ordering_state(step, X, weights, np.asarray(beta, dtype=float)[None]).P[0]

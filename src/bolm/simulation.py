@@ -139,11 +139,22 @@ class GeneratingModel:
         return eta_to_pi_batch(self.predictor_rows(covariates), self.spec.pair)
 
     def draw_covariates(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Law draws conditioned on predictor compatibility."""
+        """Law draws conditioned on predictor compatibility.
+
+        Under a Bernoulli law each round checks the distinct rows among
+        the pending ones once (400 rows hold 2): the check works row by
+        row, so every copy of a row gets the flag of its first.  A uniform
+        law's rows are all distinct, and grouping them would only add a
+        sort.
+        """
         rows = self.law.draw(n, rng)
         pending = np.arange(n)
         for _ in range(200):
-            ok = self.compatible_rows(rows[pending])
+            if self.law.kind == "bernoulli":
+                first, inverse = group_profiles(rows[pending])
+                ok = self.compatible_rows(rows[pending[first]])[inverse]
+            else:
+                ok = self.compatible_rows(rows[pending])
             pending = pending[~ok]
             if pending.size == 0:
                 return rows

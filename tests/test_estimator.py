@@ -11,6 +11,7 @@ from bolm.estimator import (
     FitOptions,
     FitResult,
     _Arrays,
+    _independence_starts,
     default_start,
     deviance_g2,
     fit,
@@ -552,3 +553,28 @@ def test_singular_information_at_convergence_fails_the_fit():
     assert res.fisher_scoring_failed
     assert "rank deficient" in res.failure_reason
     assert np.isnan(res.edf) and np.isnan(res.aic)
+
+
+def test_stacked_starts_equal_default_start():
+    truth = default_null_calibration_truth()
+    datasets = [sample_dataset(truth, seed=20260816, stream=r) for r in range(5)]
+    # one replicate with an empty first category takes the add-0.5 branch
+    counts = datasets[3].counts.copy()
+    counts[:, 0, :] = 0
+    datasets[3] = Dataset(truth.spec.pair, datasets[3].covariates, counts)
+    assert (datasets[3].pooled_counts().sum(axis=1) == 0).any()
+    for stack in (datasets, datasets[3:4], datasets[:1]):
+        starts = _independence_starts(np.stack([ds.pooled_counts() for ds in stack]), truth.spec)
+        assert starts.shape == (len(stack), truth.spec.layout.size)
+        for dataset, start in zip(stack, starts):
+            assert np.array_equal(start, default_start(dataset, truth.spec))
+
+
+def test_stacked_arrays_equal_the_per_dataset_build():
+    for truth in (default_null_calibration_truth(), default_loss_benchmark_truth(n=60)):
+        datasets = [sample_dataset(truth, seed=20260816, stream=r) for r in range(4)]
+        arrays = _Arrays(datasets, truth.spec)
+        for r, dataset in enumerate(datasets):
+            X = np.stack([build_design_matrix(truth.spec, x) for x in dataset.covariates])
+            assert np.array_equal(arrays.X[r], X)
+            assert np.array_equal(arrays.Y[r], dataset.count_matrix())

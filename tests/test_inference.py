@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,68 @@ def test_weighted_chisq_matches_closed_forms():
     )
 
 
+def _quantile_of_every_draw(level, weights, shifts, draws, seed):
+    """The empirical quantile over all the draws, held at once: the
+    reference for the selection of the largest draws."""
+    law = (np.asarray(weights, dtype=float), shifts)
+    values = np.concatenate([s for s, in inference._mixture_draws([law], draws, seed)])
+    return float(np.quantile(values, level))
+
+
+def test_one_draw_pass_gives_each_law_its_own_quantile():
+    rng = np.random.default_rng(25)
+    for draws, levels in ((999, (0.5, 0.9, 0.99)), (50_001, (0.5, 0.95)), (200_000, (0.95,))):
+        for k in range(1, 6):
+            base = rng.uniform(0.05, 1.0, k)
+            laws = [
+                (rng.uniform(0.05, 1.0, k), rng.normal(size=k)),
+                (rng.uniform(0.05, 1.0, k), np.zeros(k)),     # zero shifts
+                (np.full(k, rng.uniform(0.1, 1.0)), None),     # exact chi-squared
+                (base[::-1], rng.normal(size=k)),              # negative stride
+                (base[::-1], None),
+            ]
+            for level in levels:
+                shared = inference._mixture_quantiles(level, laws, draws, seed=k)
+                for (w, b), q in zip(laws, shared):
+                    alone = weighted_chisq_quantile(level, w, b, draws=draws, seed=k)
+                    assert q.hex() == alone.hex()
+                    kept = b if b is not None and b.any() else None
+                    if kept is not None or (w != w[0]).any():
+                        want = _quantile_of_every_draw(level, np.array(w), kept, draws, k)
+                        assert q.hex() == want.hex()
+
+
+def test_one_draw_pass_holds_little_more_than_one_law():
+    laws = [(np.array([0.9, 0.5, 0.2]) * s, np.array([0.3, -0.2, 0.1]) * s) for s in (1, 2, 3)]
+
+    def peak(laws):
+        tracemalloc.start()
+        try:
+            inference._mixture_quantiles(0.95, laws)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(laws)  # lazy set-up outside the measurement
+    one, three = peak(laws[:1]), peak(laws)
+    assert three - one <= 400_000, (one, three)
+    # all the draws of one law take 1.6 MB
+    assert one < 1_000_000, one
+
+
+def test_equal_laws_give_equal_draws():
+    # a reversed view sums its squares in another order than its copy,
+    # unless the law is taken contiguous
+    w = np.array([0.2, 0.5, 0.9, 0.35])[::-1]
+    b = np.array([0.1, -0.4, 0.25, 0.05])[::-1]
+    forms = [(w, b), (w.copy(), b.copy()), (w.tolist(), b.tolist())]
+    quantiles = {weighted_chisq_quantile(0.95, wf, bf, draws=50_000).hex() for wf, bf in forms}
+    assert len(quantiles) == 1
+    q = float.fromhex(quantiles.pop())
+    p_values = {weighted_chisq_pvalue(q, wf, draws=50_000) for wf, _ in forms}
+    assert len(p_values) == 1
+
+
 def test_weighted_chisq_rejects_bad_inputs():
     with pytest.raises(ValueError):
         weighted_chisq_pvalue(1.0, [], draws=100)
@@ -196,6 +259,14 @@ def test_weighted_chisq_rejects_bad_inputs():
         weighted_chisq_quantile(0.95, [-0.1, 0.5])
     with pytest.raises(ValueError):
         weighted_chisq_quantile(0.95, [1.0, 0.5], [0.1, 0.2, 0.3])
+    # a NaN draw would fall out of the kept largest values
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            weighted_chisq_quantile(0.95, [bad, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            weighted_chisq_pvalue(1.0, [bad, 0.5], draws=100)
+        with pytest.raises(ValueError, match="finite"):
+            weighted_chisq_quantile(0.95, [1.0, 0.5], [bad, 0.2])
 
 
 def test_lrp_dual_forms_agree_on_real_fits():

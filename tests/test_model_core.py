@@ -13,6 +13,7 @@ from bolm.model_core import (
     ParamLayout,
     build_design_matrix,
     design_matrices,
+    group_profiles,
 )
 
 
@@ -191,6 +192,38 @@ def test_design_matrices_equal_the_per_group_build():
         dataset = Dataset.merged(spec.pair, groups)
         per_group = np.stack([build_design_matrix(spec, x) for x, _ in groups])
         assert np.array_equal(design_matrices(spec, dataset), per_group)
+        # a stack of datasets with one group count, one affine product
+        others = [
+            Dataset(spec.pair, rng.normal(scale=3.0, size=dataset.covariates.shape),
+                    dataset.counts)
+            for _ in range(2)
+        ]
+        stack = design_matrices(spec, [dataset, *others])
+        assert np.array_equal(stack[0], per_group)
+        for X, other in zip(stack[1:], others):
+            assert np.array_equal(X, [build_design_matrix(spec, x) for x in other.covariates])
+
+
+def _unique_profiles(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grouping by np.unique(axis=0), the reference for group_profiles."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
+
+
+def test_group_profiles_equal_the_unique_grouping():
+    rng = np.random.default_rng(25)
+    for k in (0, 1, 3):
+        for n in (0, 1, 7, 60):
+            # few distinct values, so rows tie; random signs mix 0.0 and -0.0
+            rows = rng.integers(0, 3, (n, k)) * rng.choice([-1.0, 1.0], (n, k))
+            first, inverse = group_profiles(rows)
+            want_first, want_inverse = _unique_profiles(rows)
+            assert np.array_equal(first, want_first) and first.dtype == want_first.dtype
+            assert np.array_equal(inverse, want_inverse) and inverse.dtype == want_inverse.dtype
+    zeros = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, 2.0]])
+    first, inverse = group_profiles(zeros)
+    assert first.tolist() == [0, 2] and inverse.tolist() == [0, 0, 1]
 
 
 def test_spec_rejects_unknown_and_inconsistent_terms():
