@@ -226,13 +226,7 @@ _SCHEMAS = {
             "reduced": _MODEL_SCHEMA,
             "full_penalty": {"$ref": "#/$defs/penalty"},
             "reduced_penalty": {"$ref": "#/$defs/penalty"},
-            "mc": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "draws": {"type": "integer", "minimum": 1},
-                },
-            },
+            "mc": {"type": "object", "additionalProperties": False},
             "fit_options": _FIT_OPTIONS_SCHEMA,
             "seed": _SEED_SCHEMA,
         },
@@ -249,6 +243,7 @@ _SCHEMAS = {
                 "type": "array",
                 "items": {"type": "number", "minimum": 0},
                 "minItems": 1,
+                "uniqueItems": True,
             },
             "seed": _SEED_SCHEMA,
         },
@@ -678,7 +673,6 @@ def cmd_lrtest(config: dict, seed: int, out: Path, threads: int) -> int:
     dataset, cov_names, record = _build_dataset(config["dataset"], base)
     full_spec = _parse_model(config["full"], dataset.pair, cov_names)
     reduced_spec = _parse_model(config["reduced"], dataset.pair, cov_names)
-    draws = int(config["mc"].get("draws", 200_000)) if "mc" in config else None
 
     result, full_fit, reduced_fit = lr_test(
         dataset,
@@ -687,8 +681,7 @@ def cmd_lrtest(config: dict, seed: int, out: Path, threads: int) -> int:
         reduced_spec,
         _parse_penalty(config.get("reduced_penalty")),
         _parse_fit_options(config),
-        draws=draws,
-        seed=seed,
+        mixture="mc" in config,
     )
     if result is None:
         for name, f in (("full", full_fit), ("reduced", reduced_fit)):

@@ -14,9 +14,10 @@ come in two flavours:
 * for a zero-effect or flattening hypothesis under smoothing, Gray's
   (1994) weighted mixture of one-degree chi-squared variables whose
   weights are eigenvalues of the profile information damped by the
-  penalty, with tail mass and quantiles estimated by Monte Carlo; for a
-  flattening test near a known point of the hypothesis the variables
-  are shifted by the bias that smoothing of the shared blocks causes.
+  penalty, with tail mass and quantiles computed by numerical inversion
+  of its Laplace transform; for a flattening test near a known point of
+  the hypothesis the variables are shifted by the bias that smoothing of
+  the shared blocks causes.
 
 A small simulation driver draws data under a null generating model and
 re-fits both models across a smoothing grid, which is how the mixture
@@ -52,7 +53,7 @@ from .model_core import (
     OrdinalPair,
 )
 from .penalties import PenaltyConfig, build_penalty_matrix
-from .simulation import CovariateLaw, GeneratingModel, _pool_map, _stream_rng, sample_dataset
+from .simulation import CovariateLaw, GeneratingModel, _pool_map, sample_dataset
 
 # Smoothing at or above this level is treated as a hard constraint when
 # counting degrees of freedom.
@@ -97,7 +98,15 @@ def _chi2_ks_distance(sample: np.ndarray, df: int) -> float:
 
 @dataclass(frozen=True)
 class LrpResult:
-    """Outcome of one penalized likelihood-ratio test."""
+    """Outcome of one penalized likelihood-ratio test.
+
+    ``p_value_mc`` is the statistic's tail under Gray's mixture, when the
+    test asked for it.  ``mc_se`` is always None: that tail is computed,
+    not estimated by Monte Carlo, so it has no standard error.  The field
+    stays because the benchmark's fingerprint (``perfbench/fingerprint.json``)
+    records the keys of ``lrtest.json``, and a changed key reads there as
+    a wrong output.
+    """
 
     statistic: float
     df: int
@@ -435,165 +444,113 @@ def gray_flattening_law(
     return _local_law(T.T @ F @ T, block[1:], T.T @ P @ T, T.T @ (-P @ beta))
 
 
-def _mixture_weights(weights, draws: int) -> np.ndarray:
-    # contiguous, as the shifts: the product of the squares with w sums in
-    # w's stride order, so a reversed view would draw other last bits than
-    # its copy
-    w = np.ascontiguousarray(weights, dtype=float).reshape(-1)
+# The fixed Talbot contour of Abate and Whitt (2006, "A unified framework
+# for numerically inverting Laplace transforms", INFORMS J. Computing 18):
+# a function on x > 0 is Re sum_k g_k F(z_k / x) / x, for a transform F
+# whose singularities lie on the negative real axis.  The contour points
+# z_k / x scale with 1 / x, so the factor exp(x s) of each point s is the
+# same for every x and is folded into g_k.  With M = 32 points the mixture
+# tails agree with Imhof's (1961) integral to about 2e-11; at M = 64
+# rounding costs digits.
+
+
+def _talbot_contour(m: int) -> tuple[np.ndarray, np.ndarray]:
+    theta = np.arange(1, m) * np.pi / m
+    cot = 1.0 / np.tan(theta)
+    r = 0.4 * m  # the radius 2M / (5x) at x = 1
+    z = r * np.concatenate([[1.0], theta * (cot + 1j)])
+    g = np.concatenate([[0.5], 1.0 + 1j * (theta + (theta * cot - 1.0) * cot)])
+    return z, g * np.exp(z) * r / m
+
+
+_TALBOT_Z, _TALBOT_G = _talbot_contour(32)
+
+
+def _mixture_law(weights, shifts=None) -> tuple[np.ndarray, np.ndarray]:
+    """The positive weights w of sum w_j (Z_j + b_j)^2 and their squared
+    shifts b_j^2; a zero weight drops out with its shift."""
+    w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size == 0:
         raise ValueError("no mixture weights given")
     if not (np.isfinite(w).all() and (w >= 0).all()):
         raise ValueError("mixture weights must be finite and nonnegative")
-    if draws <= 0:
-        raise ValueError("draw count must be positive")
-    return w
-
-
-def _mixture_shifts(shifts, w: np.ndarray) -> np.ndarray | None:
-    """The shifts b of the weights ``w``; None when there are none or all
-    are zero."""
-    if shifts is None:
-        return None
-    b = np.ascontiguousarray(shifts, dtype=float).reshape(-1)
+    b = np.zeros(w.size) if shifts is None else np.asarray(shifts, dtype=float).reshape(-1)
     if b.shape != w.shape:
         raise ValueError("one shift per mixture weight is needed")
     if not np.isfinite(b).all():
         raise ValueError("mixture shifts must be finite")
-    return b if b.any() else None
+    kept = w > 0.0
+    return w[kept], b[kept] ** 2
 
 
-def _mixture_draws(laws, draws: int, seed: int):
-    """Chunks of ``draws`` values of sum w_j (Z_j + b_j)^2, one array per
-    (w, b) of ``laws`` (b None: no shifts).  The laws share their number
-    of weights and one counter-based stream of normals; the values do
-    not depend on the chunk size."""
-    m = laws[0][0].size
-    rng = _stream_rng(seed, 0)
-    remaining = draws
-    # about 16,000 numbers a chunk: cache-sized, so the draws run faster
-    # and add little to peak memory
-    chunk = max(1, min(remaining, 16_384 // m))
-    squares = np.empty((chunk, m))
-    while remaining > 0:
-        k = min(chunk, remaining)
-        z = rng.standard_normal((k, m))
-        sq = squares[:k]
-        yield [np.square(z if b is None else np.add(z, b, out=sq), out=sq) @ w for w, b in laws]
-        remaining -= k
+def _mixture_tail_density(x: float, w: np.ndarray, b2: np.ndarray) -> tuple[float, float]:
+    """P(X > x) and the density at x > 0 of X = sum w_j (Z_j + b_j)^2.
 
-
-class _Largest:
-    """The ``count`` largest of values that arrive in chunks.
-
-    They are kept in a buffer of ``count`` values plus one chunk.  A value
-    below the least of ``count`` values already seen cannot be among the
-    largest, so only the rest of a chunk is stored; a full buffer is cut
-    back to its ``count`` largest.
+    Both invert the Laplace transform of X, L(s) = prod (1 + 2 w_j s)^(-1/2)
+    exp(-sum w_j b_j^2 s / (1 + 2 w_j s)): the density as it is, and the
+    tail as (1 - L(s)) / s, the transform of the tail itself, so that a
+    small tail is not the difference of two numbers near one.
     """
-
-    def __init__(self, count: int):
-        self.count = count
-        self.kept = np.empty(0)
-        self.size = 0
-        self.least = -np.inf
-
-    def add(self, values: np.ndarray) -> None:
-        if not self.kept.size:
-            # the first chunk is the largest
-            self.kept = np.empty(self.count + values.size)
-        values = values[values >= self.least]
-        if self.size + values.size > self.kept.size:
-            start = self.size - self.count
-            self.kept[: self.size].partition(start)
-            self.least = self.kept[start]
-            self.kept[: self.count] = self.kept[start : self.size]
-            self.size = self.count
-            values = values[values >= self.least]
-        self.kept[self.size : self.size + values.size] = values
-        self.size += values.size
-
-    def lowest_two(self) -> tuple[float, float]:
-        """The two least of the ``count`` largest, or the one twice."""
-        start = self.size - self.count
-        second = min(start + 1, self.size - 1)
-        kept = self.kept[: self.size]
-        kept.partition((start, second))
-        return kept[start], kept[second]
+    s = _TALBOT_Z / x
+    u = 1.0 + 2.0 * np.multiply.outer(s, w)
+    log_l = -0.5 * np.log(u).sum(axis=1) - (s[:, None] * (w * b2) / u).sum(axis=1)
+    tail = float((_TALBOT_G * (-np.expm1(log_l) / s)).real.sum()) / x
+    density = float((_TALBOT_G * np.exp(log_l)).real.sum()) / x
+    return min(max(tail, 0.0), 1.0), density
 
 
-def _mixture_quantiles(level: float, laws, draws: int = 200_000, seed: int = 0) -> list[float]:
-    """Quantiles at ``level`` of sum w_j (Z_j + b_j)^2, one for each
-    (weights, shifts) pair of ``laws``; shifts may be None.
+def weighted_chisq_pvalue(statistic: float, weights) -> float:
+    """Upper tail P(X > statistic) of X = sum w_j Z_j^2.
 
-    Equal weights and no shifts make the mixture a scaled chi-squared,
-    whose quantile is exact.  Every other law takes the empirical quantile
-    of the draws that ``weighted_chisq_pvalue`` uses for the same seed,
-    in one pass over one draw set: each chunk of normals feeds every
-    law, so the laws must share their number of weights, and each gets
-    the bits of a pass of its own.  np.quantile interpolates between the
-    order statistics lo and lo + 1 of the draws, lo = floor((draws - 1)
-    level), so a law keeps only its draws - lo largest values.
+    Equal weights make X a scaled chi-squared, whose tail is exact.
+    Otherwise the tail inverts the Laplace transform of X on the fixed
+    Talbot contour; its absolute error is about 2e-11, so smaller tails
+    are not resolved.  Weights that are all zero make X the point mass at 0.
     """
-    checked = [(_mixture_weights(weights, draws), shifts) for weights, shifts in laws]
+    w, b2 = _mixture_law(weights)
+    if not w.size:
+        return 1.0 if statistic < 0.0 else 0.0
+    if (w == w[0]).all():
+        return float(_chi2_sf(statistic / w[0], w.size))
+    if statistic <= 0.0:
+        return 1.0
+    return _mixture_tail_density(statistic, w, b2)[0]
+
+
+def weighted_chisq_quantile(level: float, weights, shifts=None) -> float:
+    """Quantile of X = sum w_j (Z_j + b_j)^2 at ``level``; ``shifts`` are the b.
+
+    Equal weights and no shifts make X a scaled chi-squared, whose
+    quantile is exact.  Otherwise Newton's method solves for the tail of
+    ``weighted_chisq_pvalue``'s inversion, started from the scaled
+    chi-squared with the mean and variance of X; a step that leaves the
+    bracket of the root bisects it instead, or doubles x while the
+    bracket is open above.
+    """
+    w, b2 = _mixture_law(weights, shifts)
     if not 0.0 < level < 1.0:
         raise ValueError("quantile level must lie in (0, 1)")
-    quantiles: list[float] = []
-    drawn = []  # (index, w, b) of the laws that need draws
-    for w, shifts in checked:
-        b = _mixture_shifts(shifts, w)
-        if b is None and (w == w[0]).all():
-            quantiles.append(float(w[0] * _chi2_ppf(level, w.size)))
+    if not w.size:
+        return 0.0
+    if not b2.any() and (w == w[0]).all():
+        return float(w[0] * _chi2_ppf(level, w.size))
+    alpha = 1.0 - level
+    mean, var = w @ (1.0 + b2), 2.0 * (w * w) @ (1.0 + 2.0 * b2)
+    x = float(var / (2.0 * mean) * _chi2_ppf(level, 2.0 * mean**2 / var))
+    lo, hi = 0.0, math.inf
+    for _ in range(60):
+        tail, density = _mixture_tail_density(x, w, b2)
+        if tail > alpha:
+            lo = x
         else:
-            quantiles.append(math.nan)
-            drawn.append((len(quantiles) - 1, w, b))
-    if not drawn:
-        return quantiles
-    position = (draws - 1) * level
-    lo = math.floor(position)
-    largest = [_Largest(draws - lo) for _ in drawn]
-    for values in _mixture_draws([(w, b) for _, w, b in drawn], draws, seed):
-        for top, s in zip(largest, values):
-            top.add(s)
-    for (i, _, _), top in zip(drawn, largest):
-        # np.quantile of the two order statistics at the fraction of the
-        # position is its interpolation over all the draws, bit for bit
-        quantiles[i] = float(np.quantile(np.array(top.lowest_two()), position - lo))
-    return quantiles
-
-
-def weighted_chisq_pvalue(
-    statistic: float,
-    weights,
-    draws: int = 200_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Upper tail of sum w_j Z_j^2 at ``statistic`` by Monte Carlo.
-
-    Returns the estimate and its binomial standard error.  Draws are
-    generated in chunks from a counter-based stream so the result is
-    reproducible for a given seed regardless of chunk size.
-    """
-    w = _mixture_weights(weights, draws)
-    hits = sum(int((s > statistic).sum()) for s, in _mixture_draws([(w, None)], draws, seed))
-    p = hits / draws
-    se = math.sqrt(p * (1.0 - p) / draws)
-    return float(p), float(se)
-
-
-def weighted_chisq_quantile(
-    level: float,
-    weights,
-    shifts=None,
-    draws: int = 200_000,
-    seed: int = 0,
-) -> float:
-    """Quantile of sum w_j (Z_j + b_j)^2 at ``level``; ``shifts`` are the b.
-
-    Equal weights and no shifts make the mixture a scaled chi-squared,
-    whose quantile is exact.  Otherwise it is the empirical quantile of
-    the draws that ``weighted_chisq_pvalue`` uses for the same seed.
-    """
-    return _mixture_quantiles(level, [(weights, shifts)], draws, seed)[0]
+            hi = x
+        new = x + (tail - alpha) / density if density > 0.0 else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+        if abs(new - x) <= 1e-10 * x:
+            return new
+        x = new
+    return x
 
 
 def _excluded_indices(spec: ModelSpec, blocks) -> np.ndarray:
@@ -614,23 +571,22 @@ def lr_test(
     reduced_spec: ModelSpec,
     reduced_penalty: PenaltyConfig,
     options: FitOptions | None,
-    draws: int | None = None,
-    seed: int = 0,
+    mixture: bool = False,
 ) -> tuple[LrpResult | None, FitResult | None, FitResult | None]:
     """Penalized likelihood-ratio test of ``reduced_spec`` within ``full_spec``.
 
     The hypothesis is checked before anything is fitted: a pair that is
     not nested or whose nesting heavy smoothing inverts raises
-    ValueError, and so does ``draws`` when it is not positive, when the
-    hypothesis is not whole-variable exclusion or when the full penalty
-    has an ordering term.  An identical pair is the null test,
-    statistic 0 on 0 df with p = 1, and fits nothing.  Otherwise both
-    models are fitted and the statistic is referred to chi-squared on
-    the structural degrees of freedom (``ppom_chi2_test``).  With
-    ``draws`` it is also referred to Gray's mixture, by that many draws
-    from stream ``seed``: the weights come from the unpenalized
-    information at the reduced estimate, embedded in the full layout
-    with the excluded entries zero, damped by the full model's penalty.
+    ValueError, and so does ``mixture`` when the hypothesis is not
+    whole-variable exclusion or when the full penalty has an ordering
+    term.  An identical pair is the null test, statistic 0 on 0 df with
+    p = 1, and fits nothing.  Otherwise both models are fitted and the
+    statistic is referred to chi-squared on the structural degrees of
+    freedom (``ppom_chi2_test``).  With ``mixture`` it is also referred
+    to Gray's mixture by ``weighted_chisq_pvalue``: the weights come from
+    the unpenalized information at the reduced estimate, embedded in the
+    full layout with the excluded entries zero, damped by the full
+    model's penalty.
 
     Returns the result and the full and reduced fits; the result is None
     when either fit failed, which that fit reports.
@@ -638,9 +594,7 @@ def lr_test(
     structural_df(full_spec, full_penalty, reduced_spec, reduced_penalty)
     if full_spec == reduced_spec and full_penalty == reduced_penalty:
         return LrpResult(0.0, 0, 1.0), None, None
-    if draws is not None:
-        if draws <= 0:
-            raise ValueError("draw count must be positive")
+    if mixture:
         delta = _excluded_indices(full_spec, _constrained_blocks(full_spec, reduced_spec))
         P = build_penalty_matrix(full_penalty, full_spec)
 
@@ -649,7 +603,7 @@ def lr_test(
     if full_fit.fisher_scoring_failed or reduced_fit.fisher_scoring_failed:
         return None, full_fit, reduced_fit
     result = ppom_chi2_test(full_fit, reduced_fit)
-    if draws is not None:
+    if mixture:
         beta = np.zeros(full_spec.layout.size)
         for block in reduced_fit.layout.blocks:
             target = full_spec.layout.block(block.equation, block.variable)
@@ -657,9 +611,10 @@ def lr_test(
         weights = gray_weights_from_information(
             unpenalized_fisher(beta, dataset, full_spec), delta, P
         )
-        p_mc, mc_se = weighted_chisq_pvalue(result.statistic, weights, draws=draws, seed=seed)
         result = dataclasses.replace(
-            result, p_value_mc=p_mc, mc_se=mc_se, method="gray_weighted"
+            result,
+            p_value_mc=weighted_chisq_pvalue(result.statistic, weights),
+            method="gray_weighted",
         )
     return result, full_fit, reduced_fit
 
@@ -891,9 +846,8 @@ def simulate_lrp_null(
     Each level also gets the statistic's own reference:
     ``gray_flattening_law`` at the true coefficients, with the mean
     unpenalized information over the simulated designs and the full
-    model's penalty, and a 5% critical value.  The critical values of all
-    levels come from one fixed draw set (seed 0, 200,000 draws), taken in
-    one pass.
+    model's penalty, and its 5% critical value by
+    ``weighted_chisq_quantile``.  The levels must not repeat.
     """
     if truth is None:
         truth = default_null_calibration_truth()
@@ -913,6 +867,8 @@ def simulate_lrp_null(
         )
     if replicates <= 0:
         raise ValueError("replicate count must be positive")
+    if len(set(lambdas)) != len(lambdas):
+        raise ValueError("smoothing levels repeat")
 
     reduced_spec = with_global_effect(truth.spec, 3, variable)
     df = structural_df(truth.spec, None, reduced_spec, None)
@@ -931,13 +887,11 @@ def simulate_lrp_null(
 
     cutoff = float(_chi2_ppf(0.95, df))
     tested = np.arange(block.start, block.start + block.length)
-    laws = []
+    summaries: list[LambdaNullSummary] = []
     for lam in lambdas:
         P = build_penalty_matrix(_null_penalty(lam, truth.spec), truth.spec)
-        laws.append(gray_flattening_law(F, tested, P, truth.beta_true))
-    cutoffs = _mixture_quantiles(0.95, laws)
-    summaries: list[LambdaNullSummary] = []
-    for lam, (weights, shifts), mixture_cutoff in zip(lambdas, laws, cutoffs):
+        weights, shifts = gray_flattening_law(F, tested, P, truth.beta_true)
+        mixture_cutoff = weighted_chisq_quantile(0.95, weights, shifts)
         stats_lam = np.array(
             [r.statistic for r in records if r.lam == lam and r.converged]
         )

@@ -1,10 +1,9 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from bolm import inference
 from bolm.estimator import FitOptions, fit, unpenalized_fisher
@@ -155,116 +154,106 @@ def test_gray_weights_validate_indices():
 
 
 def test_weighted_chisq_matches_closed_forms():
-    p1, se1 = weighted_chisq_pvalue(6.25, np.ones(3), draws=400_000, seed=11)
-    assert abs(p1 - stats.chi2.sf(6.25, 3)) < 4 * se1 + 1e-12
-    # zero weights drop their component entirely
-    p2, se2 = weighted_chisq_pvalue(2.7, [1.0, 0.0], draws=400_000, seed=12)
-    assert abs(p2 - stats.chi2.sf(2.7, 1)) < 4 * se2
-    # equal half weights give the exponential tail exp(-x)
-    p3, se3 = weighted_chisq_pvalue(1.9, [0.5, 0.5], draws=400_000, seed=13)
-    assert abs(p3 - np.exp(-1.9)) < 4 * se3
-    p1b, _ = weighted_chisq_pvalue(6.25, np.ones(3), draws=400_000, seed=11)
-    assert p1 == p1b
-    # equal weights: a scaled chi-squared, whose quantile is exact
-    assert weighted_chisq_quantile(0.95, np.full(3, 0.5)) == 0.5 * stats.chi2.ppf(0.95, 3)
-    q = weighted_chisq_quantile(0.95, [0.9, 0.5, 0.2], draws=400_000, seed=14)
-    p_q, se_q = weighted_chisq_pvalue(q, [0.9, 0.5, 0.2], draws=400_000, seed=14)
-    assert abs(p_q - 0.05) <= 1.0 / 400_000
-    p_q, se_q = weighted_chisq_pvalue(q, [0.9, 0.5, 0.2], draws=400_000, seed=15)
-    assert abs(p_q - 0.05) < 4 * se_q
+    assert weighted_chisq_pvalue(6.25, np.ones(3)) == stats.chi2.sf(6.25, 3)
+    # zero weights drop their component entirely, with its shift
+    assert weighted_chisq_pvalue(2.7, [1.0, 0.0]) == stats.chi2.sf(2.7, 1)
+    assert weighted_chisq_quantile(0.95, [0.0, 2.0], [5.0, 0.0]) == 2.0 * stats.chi2.ppf(0.95, 1)
+    # no positive weight: the point mass at 0
+    assert weighted_chisq_pvalue(0.0, [0.0, 0.0]) == 0.0
+    assert weighted_chisq_pvalue(-1e-9, [0.0]) == 1.0
+    assert weighted_chisq_quantile(0.95, [0.0], [1.0]) == 0.0
+    # two pairs of equal weights: the sum of exponentials of means 1 and
+    # 1/2, whose tail is 2 exp(-x) - exp(-2x)
+    w = [0.5, 0.25, 0.5, 0.25]
+    for x in (0.01, 0.3, 1.9, 8.0, 20.0):
+        assert abs(weighted_chisq_pvalue(x, w) - (2.0 * math.exp(-x) - math.exp(-2.0 * x))) < 1e-10
+    q = weighted_chisq_quantile(0.95, w)
+    assert abs(2.0 * math.exp(-q) - math.exp(-2.0 * q) - 0.05) < 1e-10
     # equal weights with shifts b: a scaled noncentral chi-squared with
     # noncentrality sum b^2
     b = np.array([1.2, -0.5, 0.3])
-    q = weighted_chisq_quantile(0.95, np.full(3, 0.5), b, draws=400_000, seed=16)
-    se = np.sqrt(0.05 * 0.95 / 400_000)
-    assert abs(stats.ncx2.sf(q / 0.5, 3, b @ b) - 0.05) < 4 * se
+    q = weighted_chisq_quantile(0.95, np.full(3, 0.5), b)
+    assert abs(stats.ncx2.sf(q / 0.5, 3, b @ b) - 0.05) < 1e-10
     # zero shifts are no shifts
-    assert weighted_chisq_quantile(0.95, [0.9, 0.5, 0.2], np.zeros(3), seed=14) == (
-        weighted_chisq_quantile(0.95, [0.9, 0.5, 0.2], seed=14)
+    assert weighted_chisq_quantile(0.95, [0.9, 0.5, 0.2], np.zeros(3)) == (
+        weighted_chisq_quantile(0.95, [0.9, 0.5, 0.2])
     )
 
 
-def _quantile_of_every_draw(level, weights, shifts, draws, seed):
-    """The empirical quantile over all the draws, held at once: the
-    reference for the selection of the largest draws."""
-    law = (np.asarray(weights, dtype=float), shifts)
-    values = np.concatenate([s for s, in inference._mixture_draws([law], draws, seed)])
-    return float(np.quantile(values, level))
+def _imhof_tail(x, w, b):
+    """P(sum w_j (Z_j + b_j)^2 > x) by Imhof's (1961) integral, the
+    reference for the Laplace inversion.
+
+    The integrand is sin(phi(u) - x u / 2) / (u rho(u)) with phi and rho
+    smooth and slowly varying, so [0, c] is integrated in pieces and the
+    oscillating tail beyond c by quad's Fourier weights.
+    """
+
+    def phase_amplitude(u):
+        wu = w * u
+        phase = 0.5 * np.sum(np.arctan(wu) + b * b * wu / (1.0 + wu * wu))
+        log_rho = 0.25 * np.sum(np.log1p(wu * wu)) + 0.5 * np.sum((b * wu) ** 2 / (1.0 + wu * wu))
+        return phase, math.exp(-log_rho) / u
+
+    def head(u):
+        phase, amplitude = phase_amplitude(u)
+        return math.sin(phase - 0.5 * x * u) * amplitude
+
+    c = 40.0 / x
+    edges = np.linspace(0.0, c, 9)
+    total = sum(
+        integrate.quad(head, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+    for part, weight, sign in ((math.sin, "cos", 1.0), (math.cos, "sin", -1.0)):
+        tail = integrate.quad(
+            lambda u: part(phase_amplitude(u)[0]) * phase_amplitude(u)[1],
+            c, np.inf, weight=weight, wvar=0.5 * x, epsabs=1e-14, limlst=100,
+        )[0]
+        total += sign * tail
+    return 0.5 + total / math.pi
 
 
-def test_one_draw_pass_gives_each_law_its_own_quantile():
-    rng = np.random.default_rng(25)
-    for draws, levels in ((999, (0.5, 0.9, 0.99)), (50_001, (0.5, 0.95)), (200_000, (0.95,))):
-        for k in range(1, 6):
-            base = rng.uniform(0.05, 1.0, k)
-            laws = [
-                (rng.uniform(0.05, 1.0, k), rng.normal(size=k)),
-                (rng.uniform(0.05, 1.0, k), np.zeros(k)),     # zero shifts
-                (np.full(k, rng.uniform(0.1, 1.0)), None),     # exact chi-squared
-                (base[::-1], rng.normal(size=k)),              # negative stride
-                (base[::-1], None),
-            ]
-            for level in levels:
-                shared = inference._mixture_quantiles(level, laws, draws, seed=k)
-                for (w, b), q in zip(laws, shared):
-                    alone = weighted_chisq_quantile(level, w, b, draws=draws, seed=k)
-                    assert q.hex() == alone.hex()
-                    kept = b if b is not None and b.any() else None
-                    if kept is not None or (w != w[0]).any():
-                        want = _quantile_of_every_draw(level, np.array(w), kept, draws, k)
-                        assert q.hex() == want.hex()
-
-
-def test_one_draw_pass_holds_little_more_than_one_law():
-    laws = [(np.array([0.9, 0.5, 0.2]) * s, np.array([0.3, -0.2, 0.1]) * s) for s in (1, 2, 3)]
-
-    def peak(laws):
-        tracemalloc.start()
-        try:
-            inference._mixture_quantiles(0.95, laws)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peak(laws)  # lazy set-up outside the measurement
-    one, three = peak(laws[:1]), peak(laws)
-    assert three - one <= 400_000, (one, three)
-    # all the draws of one law take 1.6 MB
-    assert one < 1_000_000, one
-
-
-def test_equal_laws_give_equal_draws():
-    # a reversed view sums its squares in another order than its copy,
-    # unless the law is taken contiguous
-    w = np.array([0.2, 0.5, 0.9, 0.35])[::-1]
-    b = np.array([0.1, -0.4, 0.25, 0.05])[::-1]
-    forms = [(w, b), (w.copy(), b.copy()), (w.tolist(), b.tolist())]
-    quantiles = {weighted_chisq_quantile(0.95, wf, bf, draws=50_000).hex() for wf, bf in forms}
-    assert len(quantiles) == 1
-    q = float.fromhex(quantiles.pop())
-    p_values = {weighted_chisq_pvalue(q, wf, draws=50_000) for wf, _ in forms}
-    assert len(p_values) == 1
+def test_weighted_chisq_quantile_against_imhof():
+    # the reference itself, on closed forms
+    assert abs(_imhof_tail(6.25, np.ones(3), np.zeros(3)) - stats.chi2.sf(6.25, 3)) < 1e-12
+    b = np.array([1.2, -0.5, 0.3])
+    assert abs(_imhof_tail(3.0, np.full(3, 0.5), b) - stats.ncx2.sf(6.0, 3, b @ b)) < 1e-12
+    rng = np.random.default_rng(26)
+    for i in range(12):
+        k = 1 + i * 29 // 11  # 1 .. 30
+        w = rng.uniform(0.01, 1.0, k)
+        b = rng.normal(size=k) if i % 2 else np.zeros(k)
+        q = weighted_chisq_quantile(0.95, w, b)
+        assert abs(_imhof_tail(q, w, b) - 0.05) < 1e-8, (k, q)
+        if i % 2 == 0 and k > 1:
+            assert abs(weighted_chisq_pvalue(q, w) - 0.05) < 1e-10
+    # equal weights without shifts: the chi-squared law's own bits
+    for k in (1, 3, 7):
+        assert weighted_chisq_quantile(0.95, np.full(k, 0.5)).hex() == (
+            float(0.5 * inference._chi2_ppf(0.95, k)).hex()
+        )
+        assert weighted_chisq_pvalue(2.5, np.full(k, 0.5)).hex() == (
+            float(inference._chi2_sf(5.0, k)).hex()
+        )
 
 
 def test_weighted_chisq_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        weighted_chisq_pvalue(1.0, [], draws=100)
+        weighted_chisq_pvalue(1.0, [])
     with pytest.raises(ValueError):
-        weighted_chisq_pvalue(1.0, [-0.1, 0.5], draws=100)
-    with pytest.raises(ValueError):
-        weighted_chisq_pvalue(1.0, [1.0], draws=0)
+        weighted_chisq_pvalue(1.0, [-0.1, 0.5])
     with pytest.raises(ValueError):
         weighted_chisq_quantile(1.0, [1.0, 0.5])
     with pytest.raises(ValueError):
         weighted_chisq_quantile(0.95, [-0.1, 0.5])
     with pytest.raises(ValueError):
         weighted_chisq_quantile(0.95, [1.0, 0.5], [0.1, 0.2, 0.3])
-    # a NaN draw would fall out of the kept largest values
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             weighted_chisq_quantile(0.95, [bad, 0.5])
         with pytest.raises(ValueError, match="finite"):
-            weighted_chisq_pvalue(1.0, [bad, 0.5], draws=100)
+            weighted_chisq_pvalue(1.0, [bad, 0.5])
         with pytest.raises(ValueError, match="finite"):
             weighted_chisq_quantile(0.95, [1.0, 0.5], [bad, 0.2])
 
@@ -418,14 +407,10 @@ def test_lr_test_runs_the_chi2_test_on_its_own_fits(monkeypatch):
     res, full_fit, reduced_fit = lr_test(dataset, full, cfg, reduced, none, None)
     assert res == ppom_chi2_test(fit(dataset, full, cfg), fit(dataset, reduced))
     assert (full_fit.spec, reduced_fit.spec) == (full, reduced)
-    # refused before fitting: a flattening hypothesis has no Gray mixture
-    # here, and a Monte Carlo estimate needs draws
+    # refused before fitting: a flattening hypothesis has no Gray mixture here
     monkeypatch.setattr(inference, "fit", None)
     with pytest.raises(ValueError, match="variable-exclusion"):
-        lr_test(dataset, full, cfg, reduced, none, None, draws=100)
-    excluded = dataclasses.replace(full, eq3=EquationTerms())
-    with pytest.raises(ValueError, match="draw count"):
-        lr_test(dataset, full, cfg, excluded, none, None, draws=0)
+        lr_test(dataset, full, cfg, reduced, none, None, mixture=True)
 
 
 def test_aic_profile_walks_the_grid_and_keeps_the_best_fit(monkeypatch):
@@ -460,7 +445,7 @@ def test_exclusion_tests_warn_about_the_tested_block():
     full = nunpom_33()
     reduced = dataclasses.replace(full, eq3=EquationTerms())
     cfg = PenaltyConfig.arc1({(3, "x"): 10.0})
-    res, _, _ = lr_test(dataset, full, cfg, reduced, PenaltyConfig.none(), None, draws=1000)
+    res, _, _ = lr_test(dataset, full, cfg, reduced, PenaltyConfig.none(), None, mixture=True)
     assert res.df == 4
     assert res.warnings == (
         "tested block eq3:x is smoothed at lambda=10; "
@@ -468,7 +453,8 @@ def test_exclusion_tests_warn_about_the_tested_block():
     )
     assert res.method == "gray_weighted"
     # weights in [0, 1] make the mixture's tail the lighter: chi-squared is conservative
-    assert res.p_value_mc <= res.p_value_chi2 + 4 * res.mc_se
+    assert res.p_value_mc <= res.p_value_chi2
+    assert res.mc_se is None
 
 
 def test_simulate_lrp_null_deterministic_and_damped():
@@ -506,6 +492,16 @@ def test_simulate_lrp_null_rejects_noncalibration_truth():
     bad = type(truth)(truth.spec, beta, truth.law, truth.n)
     with pytest.raises(ValueError):
         simulate_lrp_null(truth=bad, replicates=4, lambdas=(0.0,), seed=1)
+
+
+def test_simulate_lrp_null_refuses_repeated_levels(monkeypatch):
+    # a repeated level would pool its records twice into one summary
+    monkeypatch.setattr(inference, "fit_batch", None)
+    with pytest.raises(ValueError, match="smoothing levels repeat"):
+        simulate_lrp_null(
+            truth=default_null_calibration_truth(n=200), replicates=5,
+            lambdas=(0.0, 1.0, 1.0), seed=1,
+        )
 
 
 def test_gray_flattening_law_two_entry_closed_form():
