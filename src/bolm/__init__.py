@@ -24,8 +24,7 @@ from .inference import (
     aic_profile,
     default_null_calibration_truth,
     effective_dimension,
-    gray_flattening_law,
-    gray_weights_from_information,
+    gray_law,
     is_nested,
     lr_test,
     lrp_statistic,
@@ -109,8 +108,7 @@ __all__ = [
     "eta_to_pi_batch",
     "fit",
     "fit_batch",
-    "gray_flattening_law",
-    "gray_weights_from_information",
+    "gray_law",
     "is_nested",
     "lr_test",
     "lrp_statistic",

@@ -166,9 +166,7 @@ _FIT_OPTIONS_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "max_iter": {"type": "integer", "minimum": 1},
-        "grad_tol": {"type": "number", "exclusiveMinimum": 0},
         "step_length": {"type": "number", "exclusiveMinimum": 0},
-        "step_halvings": {"type": "integer", "minimum": 0},
     },
 }
 

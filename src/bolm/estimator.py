@@ -61,12 +61,17 @@ from .model_core import Dataset, ModelSpec, ParamLayout, design_matrices
 from .penalties import PenaltyConfig, PenaltyOperator, ordering_state
 
 
+# a fit stops when every penalized score component is below this or its
+# noise floor, and fails when a step finds no acceptable trial within
+# this many halvings
+_GRAD_TOL = 1e-7
+_STEP_HALVINGS = 30
+
+
 @dataclass(frozen=True)
 class FitOptions:
     max_iter: int = 200
-    grad_tol: float = 1e-7
     step_length: float = 1.0
-    step_halvings: int = 30
     start: np.ndarray | None = None
 
 
@@ -291,7 +296,7 @@ def _step_halving(
     floor = lp - 1e-10 * (1.0 + np.abs(lp))
     # the replicates still waiting all stand at the same trial, so they
     # share one step length
-    step, trial, trials = options.step_length, 0, options.step_halvings + 1
+    step, trial, trials = options.step_length, 0, _STEP_HALVINGS + 1
     waiting = None  # every replicate, until a full trial splits them
     while trial < trials:
         if 0 < suspects.size < n_groups:
@@ -428,7 +433,7 @@ def _fit_stack(
             traces[r].append(value)
         score, info = work.derivatives(pi_w)
         s_pen = score - frozen.grad(b)
-        stop = np.all(np.abs(s_pen) < frozen.score_tolerance(b, options.grad_tol), axis=-1)
+        stop = np.all(np.abs(s_pen) < frozen.score_tolerance(b, _GRAD_TOL), axis=-1)
         direction, singular = _solve_spd(info + frozen.P, s_pen[..., None], layout, ~stop)
         if stop.any() or singular:
             stop[list(singular)] = True
@@ -443,7 +448,7 @@ def _fit_stack(
         if not accepted.all():
             retire(~accepted, lambda i: (
                 "no acceptable step within "
-                f"{options.step_halvings} halvings at iteration {iterations[live[i]] + 1}"
+                f"{_STEP_HALVINGS} halvings at iteration {iterations[live[i]] + 1}"
             ))
             if not live.size:
                 break

@@ -11,13 +11,15 @@ come in two flavours:
   where any block smoothed beyond ``HEAVY_LAMBDA`` is frozen to the
   null space of its penalty operators, so a model flattened by heavy
   smoothing is counted at its limiting dimension;
-* for a zero-effect or flattening hypothesis under smoothing, Gray's
-  (1994) weighted mixture of one-degree chi-squared variables whose
-  weights are eigenvalues of the profile information damped by the
-  penalty, with tail mass and quantiles computed by numerical inversion
-  of its Laplace transform; for a flattening test near a known point of
-  the hypothesis the variables are shifted by the bias that smoothing of
-  the shared blocks causes.
+* under smoothing, Gray's (1994) weighted mixture of one-degree
+  chi-squared variables (``gray_law``), with tail mass and quantiles
+  computed by numerical inversion of its Laplace transform.  Every
+  hypothesis, exclusion of entries or flattening of blocks, is a
+  zero-effect test in a basis whose columns for a flattened block are
+  its constant and its contrasts; the weights are eigenvalues of the
+  profile information damped by the penalty, and near a known point of
+  the hypothesis the variables are shifted by the bias that smoothing
+  causes.
 
 A small simulation driver draws data under a null generating model and
 re-fits both models across a smoothing grid, which is how the mixture
@@ -264,8 +266,8 @@ def ppom_chi2_test(full_fit: FitResult, reduced_fit: FitResult) -> LrpResult:
     rather than errors because the statistic itself is still well
     defined.  Smoothing a tested block can only lower the statistic,
     since the extra penalty vanishes on the reduced model's constrained
-    block, so there the reference is conservative; ``gray_flattening_law``
-    gives the statistic's law.
+    block, so there the reference is conservative; ``gray_law`` gives
+    the statistic's law.
     """
     statistic = lrp_statistic(full_fit, reduced_fit)
     df = structural_df(
@@ -305,38 +307,6 @@ def ppom_chi2_test(full_fit: FitResult, reduced_fit: FitResult) -> LrpResult:
     )
 
 
-def _full_penalty(P, n_params: int, delta: np.ndarray) -> np.ndarray:
-    """The penalty as an n x n matrix; a tested sub-vector's k x k block
-    is embedded at the tested entries."""
-    if P is None:
-        return np.zeros((n_params, n_params))
-    P = np.asarray(P, dtype=float)
-    if P.shape == (n_params, n_params):
-        return 0.5 * (P + P.T)
-    if P.shape == (delta.size, delta.size):
-        out = np.zeros((n_params, n_params))
-        out[np.ix_(delta, delta)] = 0.5 * (P + P.T)
-        return out
-    raise ValueError(
-        f"penalty matrix shape {P.shape} matches neither the full parameter "
-        f"vector ({n_params}) nor the tested sub-vector ({delta.size})"
-    )
-
-
-def _tested_indices(F: np.ndarray, delta_indices) -> np.ndarray:
-    n = F.shape[0]
-    if F.shape != (n, n):
-        raise ValueError("information matrix must be square")
-    delta = np.asarray(delta_indices, dtype=int).reshape(-1)
-    if delta.size == 0:
-        raise ValueError("no tested indices given")
-    if np.unique(delta).size != delta.size:
-        raise ValueError("tested indices repeat")
-    if delta.min() < 0 or delta.max() >= n:
-        raise ValueError("tested indices fall outside the parameter vector")
-    return delta
-
-
 def _local_law(
     F: np.ndarray, delta: np.ndarray, P: np.ndarray, score_mean: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -374,74 +344,70 @@ def _local_law(
     return np.clip(alpha, 0.0, 1.0)[::-1], shifts[::-1]
 
 
-def gray_weights_from_information(
+def gray_law(
     F: np.ndarray,
-    delta_indices,
-    P=None,
-) -> np.ndarray:
-    """Mixture weights for the null law of a zero-effect test.
-
-    For the hypothesis that the parameter sub-vector delta is zero, the
-    statistic behaves like sum alpha_j Z_j^2.  With the penalty on delta
-    alone the alpha are the eigenvalues of F_dd|g (F_dd|g + P_dd)^{-1}:
-    the profile information for delta given the remaining parameters,
-    damped by the penalty block acting on delta.  A full penalty matrix
-    that also smooths the remaining parameters enters the profiling as
-    well, through the curvature F + P that both fits maximize.  Without
-    a penalty every weight is one and the mixture is an ordinary
-    chi-squared.
-    """
-    F = np.asarray(F, dtype=float)
-    delta = _tested_indices(F, delta_indices)
-    # order is the caller's: a sub-vector penalty is paired entry by entry
-    n = F.shape[0]
-    return _local_law(F, delta, _full_penalty(P, n, delta), np.zeros(n))[0]
-
-
-def gray_flattening_law(
-    F: np.ndarray,
-    block_indices,
     P: np.ndarray,
     beta: np.ndarray,
+    excluded=(),
+    flattened=(),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Null law of the statistic for a flattening test, near ``beta``.
+    """Null law of the statistic for a hypothesis, near ``beta``.
 
-    The hypothesis is that the k entries of a block share one value.
-    Writing the block as c 1 + B delta, with B the normalized Helmert
-    contrasts, turns it into the zero-effect hypothesis delta = 0.
-    ``P`` is the full penalty matrix of the full model; it must vanish
-    on a constant block, as difference penalties do, so that the
-    reduced model carries the same penalty.  ``beta`` is a point of the
-    hypothesis, the true coefficients in a simulation.  Its penalized
-    score has mean -P beta: smoothing of the shared blocks biases both
-    fits, and the part of that bias the tested block can absorb shifts
-    the statistic.  The law is sum alpha_j (Z_j + b_j)^2; the function
-    returns the weights alpha and the shifts b.  The law does not depend
-    on the choice of B.
+    The hypothesis is that the entries ``excluded`` are zero and that the
+    entries of each block in ``flattened`` share one value.  Writing each
+    flattened block as c 1 + B delta, with B its normalized Helmert
+    contrasts, turns the whole hypothesis into a zero-effect test of the
+    excluded entries and the contrasts.  ``F`` is the unpenalized
+    information and ``P`` the full model's (n, n) penalty matrix; it must
+    vanish on a constant flattened block, as difference penalties do, so
+    that the reduced model carries the same penalty.  ``beta`` is a point
+    of the hypothesis, the true coefficients in a simulation.  Its
+    penalized score has mean -P beta: smoothing biases both fits, and the
+    part of that bias the tested entries can absorb shifts the statistic.
+    The law is sum alpha_j (Z_j + b_j)^2; the function returns the weights
+    alpha and the shifts b.  Without a penalty every weight is one and
+    nothing shifts.  The law depends neither on the order of the entries
+    nor on the choice of B.
     """
     F = np.asarray(F, dtype=float)
     n = F.shape[0]
-    block = _tested_indices(F, block_indices)
-    k = block.size
-    if k < 2:
-        raise ValueError("a flattening hypothesis needs a block of two or more entries")
+    if F.shape != (n, n):
+        raise ValueError("information matrix must be square")
     P = np.asarray(P, dtype=float)
     if P.shape != (n, n):
         raise ValueError(f"penalty matrix shape {P.shape} does not match ({n}, {n})")
-    ones = np.ones(k)
-    if not np.allclose(P[:, block] @ ones, 0.0, atol=1e-10 * max(1.0, np.abs(P).max())):
-        raise ValueError("the penalty does not vanish on a constant block")
+    excluded = np.asarray(excluded, dtype=int).reshape(-1)
+    blocks = [np.asarray(block, dtype=int).reshape(-1) for block in flattened]
+    tested = np.concatenate([excluded, *blocks])
+    if tested.size == 0:
+        raise ValueError("no tested indices given")
+    if np.unique(tested).size != tested.size:
+        raise ValueError("tested indices repeat")
+    if tested.min() < 0 or tested.max() >= n:
+        raise ValueError("tested indices fall outside the parameter vector")
     beta = np.asarray(beta, dtype=float)
-    if not np.allclose(beta[block], beta[block[0]], rtol=0.0, atol=1e-12):
-        raise ValueError("beta violates the hypothesis: block entries differ")
+    if not np.allclose(beta[excluded], 0.0, rtol=0.0, atol=1e-12):
+        raise ValueError("beta violates the hypothesis: an excluded entry is not zero")
+    if not blocks:
+        return _local_law(F, excluded, 0.5 * (P + P.T), -P @ beta)
 
-    # normalized Helmert contrasts: column j averages the first j
-    # entries against entry j
-    i, j = np.arange(k)[:, None], np.arange(1, k)
-    B = ((i < j) - j * (i == j)) / np.sqrt(j * (j + 1))
     T = np.eye(n)
-    T[np.ix_(block, block)] = np.column_stack([ones, B])
-    return _local_law(T.T @ F @ T, block[1:], T.T @ P @ T, T.T @ (-P @ beta))
+    for block in blocks:
+        k = block.size
+        if k < 2:
+            raise ValueError("a flattening hypothesis needs a block of two or more entries")
+        ones = np.ones(k)
+        if not np.allclose(P[:, block] @ ones, 0.0, atol=1e-10 * max(1.0, np.abs(P).max())):
+            raise ValueError("the penalty does not vanish on a constant block")
+        if not np.allclose(beta[block], beta[block[0]], rtol=0.0, atol=1e-12):
+            raise ValueError("beta violates the hypothesis: block entries differ")
+        # normalized Helmert contrasts: column j averages the first j
+        # entries against entry j
+        i, j = np.arange(k)[:, None], np.arange(1, k)
+        B = ((i < j) - j * (i == j)) / np.sqrt(j * (j + 1))
+        T[np.ix_(block, block)] = np.column_stack([ones, B])
+    tested = np.concatenate([excluded, *(block[1:] for block in blocks)])
+    return _local_law(T.T @ F @ T, tested, T.T @ P @ T, T.T @ (-P @ beta))
 
 
 # The fixed Talbot contour of Abate and Whitt (2006, "A unified framework
@@ -583,10 +549,13 @@ def lr_test(
     p = 1, and fits nothing.  Otherwise both models are fitted and the
     statistic is referred to chi-squared on the structural degrees of
     freedom (``ppom_chi2_test``).  With ``mixture`` it is also referred
-    to Gray's mixture by ``weighted_chisq_pvalue``: the weights come from
-    the unpenalized information at the reduced estimate, embedded in the
-    full layout with the excluded entries zero, damped by the full
-    model's penalty.
+    to Gray's mixture by ``weighted_chisq_pvalue``: ``gray_law`` at
+    beta = 0, unshifted, with the unpenalized information at the reduced
+    estimate, embedded in the full layout with the excluded entries zero,
+    and the full model's penalty.  A flattening hypothesis stays refused:
+    its law needs the shift at a point of the hypothesis, which a test on
+    data does not know, and without that shift the mixture over-rejects
+    (0.139 and 0.626 at lambda = 10 and 50 in the null calibration).
 
     Returns the result and the full and reduced fits; the result is None
     when either fit failed, which that fit reports.
@@ -608,9 +577,8 @@ def lr_test(
         for block in reduced_fit.layout.blocks:
             target = full_spec.layout.block(block.equation, block.variable)
             beta[target.slice] = reduced_fit.beta_hat[block.slice]
-        weights = gray_weights_from_information(
-            unpenalized_fisher(beta, dataset, full_spec), delta, P
-        )
+        F = unpenalized_fisher(beta, dataset, full_spec)
+        weights = gray_law(F, P, np.zeros_like(beta), excluded=delta)[0]
         result = dataclasses.replace(
             result,
             p_value_mc=weighted_chisq_pvalue(result.statistic, weights),
@@ -843,8 +811,8 @@ def simulate_lrp_null(
     Replicates where either fit fails are excluded from the summaries
     and counted.
 
-    Each level also gets the statistic's own reference:
-    ``gray_flattening_law`` at the true coefficients, with the mean
+    Each level also gets the statistic's own reference: ``gray_law``
+    of the flattening at the true coefficients, with the mean
     unpenalized information over the simulated designs and the full
     model's penalty, and its 5% critical value by
     ``weighted_chisq_quantile``.  The levels must not repeat.
@@ -890,7 +858,7 @@ def simulate_lrp_null(
     summaries: list[LambdaNullSummary] = []
     for lam in lambdas:
         P = build_penalty_matrix(_null_penalty(lam, truth.spec), truth.spec)
-        weights, shifts = gray_flattening_law(F, tested, P, truth.beta_true)
+        weights, shifts = gray_law(F, P, truth.beta_true, flattened=[tested])
         mixture_cutoff = weighted_chisq_quantile(0.95, weights, shifts)
         stats_lam = np.array(
             [r.statistic for r in records if r.lam == lam and r.converged]

@@ -18,7 +18,7 @@ from scipy.stats import chi2
 from bolm.estimator import FitOptions, default_start, fit, penalized_score
 from bolm.inference import (
     default_null_calibration_truth,
-    gray_weights_from_information,
+    gray_law,
     simulate_lrp_null,
     weighted_chisq_pvalue,
 )
@@ -429,7 +429,7 @@ def test_criterion6f_gray_weights():
     rng = np.random.default_rng(12)
     A = rng.normal(size=(8, 8))
     F = A @ A.T + 8.0 * np.eye(8)
-    weights = gray_weights_from_information(F, [2, 5, 6], P=None)
+    weights = gray_law(F, np.zeros((8, 8)), np.zeros(8), excluded=[2, 5, 6])[0]
     weight_gap = float(np.max(np.abs(weights - 1.0)))
     failures = []
     if weight_gap > 1e-10:

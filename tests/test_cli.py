@@ -931,6 +931,18 @@ _CONFIG_RULES = [
         2,
     ),
     (
+        "fit-options-grad-tol",
+        (
+            "fit",
+            {
+                "dataset": {"path": "t.dat", "format": "table"},
+                "model": {},
+                "fit_options": {"grad_tol": 1e-8},
+            },
+        ),
+        2,
+    ),
+    (
         "null-calibration-repeated-lambdas",
         ("simulate", {"experiment": "null_calibration", "lambdas": [0.0, 1.0, 1]}),
         2,

@@ -12,8 +12,7 @@ from bolm.inference import (
     aic_profile,
     default_null_calibration_truth,
     effective_dimension,
-    gray_flattening_law,
-    gray_weights_from_information,
+    gray_law,
     is_nested,
     lr_test,
     lrp_statistic,
@@ -105,31 +104,38 @@ def test_gray_weights_identity_without_penalty():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((6, 6))
     F = A @ A.T + 6 * np.eye(6)
-    w = gray_weights_from_information(F, [1, 4, 5], None)
+    w, b = gray_law(F, np.zeros((6, 6)), np.zeros(6), excluded=[1, 4, 5])
     np.testing.assert_allclose(w, np.ones(3), atol=1e-12)
+    np.testing.assert_array_equal(b, np.zeros(3))
 
 
 def test_gray_weights_full_matrix_and_block_slice_agree():
+    # a penalty on the tested entries alone gives the eigenvalues of
+    # F_dd|g (F_dd|g + P_dd)^-1: the profile information damped by the
+    # penalty block
     rng = np.random.default_rng(7)
     A = rng.standard_normal((6, 6))
     F = A @ A.T + 6 * np.eye(6)
     delta = [1, 4, 5]
+    gamma = [0, 2, 3]
     B = rng.standard_normal((3, 3))
     P_dd = B @ B.T + 0.5 * np.eye(3)
     P_full = np.zeros((6, 6))
     P_full[np.ix_(delta, delta)] = P_dd
-    w_dd = gray_weights_from_information(F, delta, P_dd)
-    w_full = gray_weights_from_information(F, delta, P_full)
-    np.testing.assert_allclose(w_dd, w_full, atol=1e-12)
-    assert (w_dd <= 1.0).all() and (w_dd > 0.0).all()
-    heavy = gray_weights_from_information(F, delta, 1e12 * P_dd)
+    w_full = gray_law(F, P_full, np.zeros(6), excluded=delta)[0]
+    F_dg = F[np.ix_(delta, gamma)]
+    profile = F[np.ix_(delta, delta)] - F_dg @ np.linalg.solve(F[np.ix_(gamma, gamma)], F_dg.T)
+    brute = np.linalg.eigvals(profile @ np.linalg.inv(profile + P_dd)).real
+    np.testing.assert_allclose(np.sort(w_full), np.sort(brute), atol=1e-12)
+    assert (w_full <= 1.0).all() and (w_full > 0.0).all()
+    heavy = gray_law(F, 1e12 * P_full, np.zeros(6), excluded=delta)[0]
     assert (heavy < 1e-9).all()
 
 
 def test_gray_weights_match_conditional_eigenvalues_2x2():
     F = np.array([[4.0, 1.0], [1.0, 3.0]])
     P = np.array([[2.0, 0.5], [0.5, 1.0]])
-    w = gray_weights_from_information(F, [0, 1], P)
+    w = gray_law(F, P, np.zeros(2), excluded=[0, 1])[0]
     brute = np.linalg.eigvals(F @ np.linalg.inv(F + P)).real
     np.testing.assert_allclose(np.sort(w), np.sort(brute), atol=1e-12)
 
@@ -139,18 +145,36 @@ def test_gray_weights_invariant_under_delta_reordering():
     F[np.ix_([1, 3], [1, 3])] = [[4.0, 1.0], [1.0, 3.0]]
     F[0, 0] = F[2, 2] = 5.0
     F[0, 1] = F[1, 0] = 0.3
-    P = np.array([[2.0, 0.5], [0.5, 1.0]])
-    wA = gray_weights_from_information(F, [1, 3], P)
-    wB = gray_weights_from_information(F, [3, 1], P[::-1, ::-1])
+    # the penalty also smooths an untested entry and couples it to a tested one
+    P = np.zeros((4, 4))
+    P[np.ix_([1, 3], [1, 3])] = [[2.0, 0.5], [0.5, 1.0]]
+    P[0, 0] = 1.5
+    P[0, 1] = P[1, 0] = -0.4
+    wA = gray_law(F, P, np.zeros(4), excluded=[1, 3])[0]
+    wB = gray_law(F, P, np.zeros(4), excluded=[3, 1])[0]
     np.testing.assert_allclose(np.sort(wA), np.sort(wB), atol=1e-12)
 
 
 def test_gray_weights_validate_indices():
-    F = np.eye(3)
-    with pytest.raises(ValueError):
-        gray_weights_from_information(F, [0, 0], None)
-    with pytest.raises(ValueError):
-        gray_weights_from_information(F, [5], None)
+    F, P, beta = np.eye(3), np.zeros((3, 3)), np.zeros(3)
+    refusals = [
+        (dict(F=np.ones((3, 2)), excluded=[0]), "information matrix must be square"),
+        # a k x k penalty of the tested entries alone
+        (dict(P=np.eye(2), excluded=[0, 1]), r"shape \(2, 2\) does not match \(3, 3\)"),
+        (dict(excluded=[0, 0]), "tested indices repeat"),
+        (dict(excluded=[0], flattened=[[0, 1]]), "tested indices repeat"),
+        (dict(excluded=[5]), "outside the parameter vector"),
+        (dict(flattened=[[-1, 0]]), "outside the parameter vector"),
+        (dict(), "no tested indices given"),
+        (dict(flattened=[[1]]), "two or more entries"),
+        (dict(P=np.eye(3), flattened=[[1, 2]]), "does not vanish on a constant block"),
+        (dict(beta=np.array([0.5, 0.0, 0.0]), excluded=[0]), "an excluded entry is not zero"),
+        (dict(beta=np.array([0.0, 1.0, 2.0]), flattened=[[1, 2]]), "block entries differ"),
+    ]
+    for case, message in refusals:
+        args = {"F": F, "P": P, "beta": beta, **case}
+        with pytest.raises(ValueError, match=message):
+            gray_law(**args)
 
 
 def test_weighted_chisq_matches_closed_forms():
@@ -386,12 +410,12 @@ def test_gray_null_weights_at_fit():
     beta = full_fit.beta_hat.copy()
     beta[idx] = 0.0  # the information under the hypothesis being tested
     F = unpenalized_fisher(beta, dataset, full)
-    w = gray_weights_from_information(F, idx, None)
+    w = gray_law(F, np.zeros_like(F), beta, excluded=idx)[0]
     np.testing.assert_allclose(w, np.ones(4), atol=1e-8)
     # first-difference smoothing on the tested block: singular penalty
     # keeps exactly one weight at one, the others strictly below
     P = PenaltyOperator(PenaltyConfig.arc1({(3, "x"): 25.0}), full).matrix()
-    w_pen = np.sort(gray_weights_from_information(F, idx, P))
+    w_pen = np.sort(gray_law(F, P, beta, excluded=idx)[0])
     assert w_pen[-1] == pytest.approx(1.0, abs=1e-8)
     assert w_pen[0] < 0.9
     assert (w_pen > 0.0).all()
@@ -511,7 +535,7 @@ def test_gray_flattening_law_two_entry_closed_form():
     F = np.diag([7.0, a, b])
     P = np.zeros((3, 3))
     P[1:, 1:] = lam * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    w, shift = gray_flattening_law(F, [1, 2], P, np.array([0.4, 1.0, 1.0]))
+    w, shift = gray_law(F, P, np.array([0.4, 1.0, 1.0]), flattened=[[1, 2]])
     np.testing.assert_allclose(w, [a * b / (a * b + lam * (a + b))], rtol=1e-12)
     np.testing.assert_array_equal(shift, [0.0])
 
@@ -529,32 +553,50 @@ def test_gray_flattening_law_matches_quadratic_form_moments():
     P[:3, :3] = 2.0 * D.T @ D  # shared block, smoothed in both fits
     P[3:6, 3:6] = 1.5 * D.T @ D  # tested block
     beta = np.array([1.0, 1.5, 2.5, -0.4, -0.4, -0.4, 0.3])
-    w, b = gray_flattening_law(F, [3, 4, 5], P, beta)
-    assert w.shape == b.shape == (2,) and ((w > 0.0) & (w < 1.0)).all()
+    H = F + P
 
+    def check_moments(w, b, T, beta):
+        M = np.linalg.inv(H) - T @ np.linalg.inv(T.T @ H @ T) @ T.T
+        m = -P @ beta
+        MF = M @ F
+        np.testing.assert_allclose(
+            np.sum(w * (1 + b * b)), np.trace(MF) + m @ M @ m, rtol=1e-10
+        )
+        np.testing.assert_allclose(
+            np.sum(2 * w * w * (1 + 2 * b * b)),
+            2 * np.trace(MF @ MF) + 4 * m @ MF @ M @ m,
+            rtol=1e-10,
+        )
+
+    w, b = gray_law(F, P, beta, flattened=[[3, 4, 5]])
+    assert w.shape == b.shape == (2,) and ((w > 0.0) & (w < 1.0)).all()
     T = np.zeros((7, 5))
     T[[0, 1, 2, 6], [0, 1, 2, 4]] = 1.0
     T[3:6, 3] = 1.0
-    H = F + P
-    M = np.linalg.inv(H) - T @ np.linalg.inv(T.T @ H @ T) @ T.T
-    m = -P @ beta
-    MF = M @ F
-    np.testing.assert_allclose(np.sum(w * (1 + b * b)), np.trace(MF) + m @ M @ m, rtol=1e-10)
-    np.testing.assert_allclose(
-        np.sum(2 * w * w * (1 + 2 * b * b)),
-        2 * np.trace(MF @ MF) + 4 * m @ MF @ M @ m,
-        rtol=1e-10,
-    )
+    check_moments(w, b, T, beta)
+
+    # a mixed hypothesis: entry 6 is zero and the block is flat, so the
+    # reduced model drops entry 6's column as well
+    mixed = beta.copy()
+    mixed[6] = 0.0
+    w, b = gray_law(F, P, mixed, excluded=[6], flattened=[[3, 4, 5]])
+    assert w.shape == b.shape == (3,) and ((w > 0.0) & (w <= 1.0 + 1e-12)).all()
+    check_moments(w, b, T[:, :4], mixed)
+
     # the shared smoothing enters the weights: profiling the nuisance
     # with the unpenalized information gives other weights
+    w = gray_law(F, P, beta, flattened=[[3, 4, 5]])[0]
     Q = np.eye(7)
     Q[3:6, 3:6] = np.column_stack([np.ones(3), np.eye(3)[:, 1:] - np.eye(3)[:, :1]])
-    tested_only = (Q.T @ P @ Q)[4:6, 4:6]
-    assert not np.allclose(gray_weights_from_information(Q.T @ F @ Q, [4, 5], tested_only), w)
-    with pytest.raises(ValueError):
-        gray_flattening_law(F, [3, 4, 5], P + np.eye(7), beta)
-    with pytest.raises(ValueError):
-        gray_flattening_law(F, [3, 4, 5], P, beta + np.arange(7.0))
+    tested_only = np.zeros((7, 7))
+    tested_only[4:6, 4:6] = (Q.T @ P @ Q)[4:6, 4:6]
+    assert not np.allclose(
+        gray_law(Q.T @ F @ Q, tested_only, np.zeros(7), excluded=[4, 5])[0], w
+    )
+    with pytest.raises(ValueError, match="does not vanish on a constant block"):
+        gray_law(F, P + np.eye(7), beta, flattened=[[3, 4, 5]])
+    with pytest.raises(ValueError, match="block entries differ"):
+        gray_law(F, P, beta + np.arange(7.0), flattened=[[3, 4, 5]])
 
 
 def test_simulate_lrp_null_mixture_weights():
@@ -582,11 +624,13 @@ def test_simulate_lrp_null_mixture_weights():
         PenaltyConfig.arc1({(3, INTERCEPT): 1.0, (3, "x"): 1.0}), truth.spec
     ).matrix()
     np.testing.assert_allclose(
-        gray_flattening_law(F, idx, P, truth.beta_true)[0], w, rtol=1e-12
+        gray_law(F, P, truth.beta_true, flattened=[idx])[0], w, rtol=1e-12
     )
     for contrasts in (np.eye(4)[:, :3] - np.eye(4)[:, 1:], np.eye(4)[:, 1:]):
         T = np.eye(F.shape[0])
         T[np.ix_(idx, idx)] = np.column_stack([np.ones(4), contrasts])
         np.testing.assert_allclose(
-            gray_weights_from_information(T.T @ F @ T, idx[1:], T.T @ P @ T), w, rtol=1e-10
+            gray_law(T.T @ F @ T, T.T @ P @ T, np.zeros(len(F)), excluded=idx[1:])[0],
+            w,
+            rtol=1e-10,
         )

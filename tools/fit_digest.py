@@ -24,7 +24,11 @@ public helpers that a fit does not call:
 - ``build_ordering_penalty`` on loss replicate 0 at ``beta_true`` and at
   a beta with the first margin's cut points reversed;
 - ``penalized_score`` and ``unpenalized_fisher`` at ``beta_true`` on that
-  replicate, and ``unpenalized_fisher_batch`` on the null replicates.
+  replicate, and ``unpenalized_fisher_batch`` on the null replicates;
+- ``gray_law``: the flattening laws of the null calibration at lambda 0,
+  1, 10 and 50, with the mean information of those null replicates, and
+  the exclusion law that ``lr_test`` computes for the penalized ``mc``
+  test pinned in ``tests/test_cli.py``.
 
 Arrays are hashed as bytes, everything else by ``repr``.
 
@@ -62,8 +66,10 @@ from bolm.estimator import (  # noqa: E402
 from bolm.inference import (  # noqa: E402
     _null_penalty,
     default_null_calibration_truth,
+    gray_law,
     with_global_effect,
 )
+from bolm.model_core import Dataset, OrdinalPair  # noqa: E402
 from bolm.penalties import (  # noqa: E402
     PenaltyConfig,
     build_ordering_penalty,
@@ -104,6 +110,14 @@ CLI_JOBS = (
 
 
 PENALIZED_FITS = ("os_arc1", "os_ridge", "os_arc2_s2", "os_arc2_s3", "os_arc2_s4")
+
+# the pinned penalized mc test of tests/test_cli.py: eq3 x smoothed in the
+# full model and excluded from the reduced one, on two 3 x 3 tables
+MC_TABLES = (
+    (0.0, [[40, 20, 10], [20, 30, 20], [10, 20, 40]]),
+    (1.0, [[30, 20, 15], [25, 30, 25], [15, 25, 45]]),
+)
+MC_MARGINS = {"covariates": ["x"], "eq1": {"include": ["x"]}, "eq2": {"include": ["x"]}}
 
 
 def _update(h, name: str, value) -> None:
@@ -170,6 +184,34 @@ def cli_digest(loss: int, null: int) -> str:
     return h.hexdigest()
 
 
+def _arc1_eq3(*variables) -> dict:
+    return {
+        "family": "arc1",
+        "terms": [{"equation": 3, "variable": v, "lambda": 10} for v in variables],
+    }
+
+
+def exclusion_law():
+    """``gray_law`` as ``lr_test`` calls it on the pinned penalized mc test."""
+    pair = OrdinalPair(3, 3)
+    dataset = Dataset.merged(pair, [((x,), np.array(t, dtype=float)) for x, t in MC_TABLES])
+    eq3 = {"include": ["x"], "category_dependent": ["x"]}
+    full = cli._parse_model({**MC_MARGINS, "eq3": eq3}, pair, ["x"])
+    reduced = cli._parse_model(MC_MARGINS, pair, ["x"])
+    reduced_fit = fit(dataset, reduced, cli._parse_penalty(_arc1_eq3(None)))
+    n = full.layout.size
+    beta = np.zeros(n)
+    for block in reduced.layout.blocks:
+        beta[full.layout.block(block.equation, block.variable).slice] = (
+            reduced_fit.beta_hat[block.slice]
+        )
+    F = unpenalized_fisher(beta, dataset, full)
+    P = build_penalty_matrix(cli._parse_penalty(_arc1_eq3("x", None)), full)
+    tested = full.layout.block(3, "x")
+    excluded = np.arange(tested.start, tested.start + tested.length)
+    return gray_law(F, P, np.zeros(n), excluded=excluded)
+
+
 def helpers_digest(null: int) -> str:
     h = hashlib.sha256()
     for name in PENALIZED_FITS:
@@ -201,7 +243,24 @@ def helpers_digest(null: int) -> str:
 
     truth = default_null_calibration_truth()
     datasets = [sample_dataset(truth, SEED, stream=r) for r in range(null)]
-    _update(h, "fisher_batch", unpenalized_fisher_batch(truth.beta_true, datasets, truth.spec))
+    batch = unpenalized_fisher_batch(truth.beta_true, datasets, truth.spec)
+    _update(h, "fisher_batch", batch)
+    # the null calibration's laws: the mean information summed in replicate
+    # order, as simulate_lrp_null sums it
+    F = np.zeros(batch.shape[1:])
+    for F_r in batch:
+        F += F_r
+    F /= null
+    tested = truth.spec.layout.block(3, "x")
+    block = np.arange(tested.start, tested.start + tested.length)
+    for lam in NULL_LAMBDAS:
+        P = build_penalty_matrix(_null_penalty(lam, truth.spec), truth.spec)
+        weights, shifts = gray_law(F, P, truth.beta_true, flattened=[block])
+        _update(h, f"null_law/{lam}/weights", weights)
+        _update(h, f"null_law/{lam}/shifts", shifts)
+    weights, shifts = exclusion_law()
+    _update(h, "exclusion_law/weights", weights)
+    _update(h, "exclusion_law/shifts", shifts)
     return h.hexdigest()
 
 
