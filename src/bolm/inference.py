@@ -358,12 +358,13 @@ def gray_law(
     flattened block as c 1 + B delta, with B its normalized Helmert
     contrasts, turns the whole hypothesis into a zero-effect test of the
     excluded entries and the contrasts.  ``F`` is the unpenalized
-    information and ``P`` the full model's (n, n) penalty matrix; it must
-    vanish on a constant flattened block, as difference penalties do, so
-    that the reduced model carries the same penalty.  ``beta`` is a point
-    of the hypothesis, the true coefficients in a simulation.  Its
-    penalized score has mean -P beta: smoothing biases both fits, and the
-    part of that bias the tested entries can absorb shifts the statistic.
+    information and ``P`` the full model's (n, n) penalty matrix, of
+    which only the symmetric part counts; it must vanish on a constant
+    flattened block, as difference penalties do, so that the reduced
+    model carries the same penalty.  ``beta`` is a point of the
+    hypothesis, the true coefficients in a simulation.  Its penalized
+    score has mean -P beta: smoothing biases both fits, and the part of
+    that bias the tested entries can absorb shifts the statistic.
     The law is sum alpha_j (Z_j + b_j)^2; the function returns the weights
     alpha and the shifts b.  Without a penalty every weight is one and
     nothing shifts.  The law depends neither on the order of the entries
@@ -376,6 +377,7 @@ def gray_law(
     P = np.asarray(P, dtype=float)
     if P.shape != (n, n):
         raise ValueError(f"penalty matrix shape {P.shape} does not match ({n}, {n})")
+    P = 0.5 * (P + P.T)
     excluded = np.asarray(excluded, dtype=int).reshape(-1)
     blocks = [np.asarray(block, dtype=int).reshape(-1) for block in flattened]
     tested = np.concatenate([excluded, *blocks])
@@ -388,9 +390,6 @@ def gray_law(
     beta = np.asarray(beta, dtype=float)
     if not np.allclose(beta[excluded], 0.0, rtol=0.0, atol=1e-12):
         raise ValueError("beta violates the hypothesis: an excluded entry is not zero")
-    if not blocks:
-        return _local_law(F, excluded, 0.5 * (P + P.T), -P @ beta)
-
     T = np.eye(n)
     for block in blocks:
         k = block.size
@@ -530,6 +529,22 @@ def _excluded_indices(spec: ModelSpec, blocks) -> np.ndarray:
     return np.concatenate([np.arange(b.start, b.start + b.length) for b in spans])
 
 
+def _exclusion_law(
+    dataset: Dataset,
+    full_spec: ModelSpec,
+    reduced_fit: FitResult,
+    P: np.ndarray,
+    excluded: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Gray law of ``lr_test``'s exclusion hypothesis, as it describes."""
+    beta = np.zeros(full_spec.layout.size)
+    for block in reduced_fit.layout.blocks:
+        target = full_spec.layout.block(block.equation, block.variable)
+        beta[target.slice] = reduced_fit.beta_hat[block.slice]
+    F = unpenalized_fisher(beta, dataset, full_spec)
+    return gray_law(F, P, np.zeros_like(beta), excluded=excluded)
+
+
 def lr_test(
     dataset: Dataset,
     full_spec: ModelSpec,
@@ -573,12 +588,7 @@ def lr_test(
         return None, full_fit, reduced_fit
     result = ppom_chi2_test(full_fit, reduced_fit)
     if mixture:
-        beta = np.zeros(full_spec.layout.size)
-        for block in reduced_fit.layout.blocks:
-            target = full_spec.layout.block(block.equation, block.variable)
-            beta[target.slice] = reduced_fit.beta_hat[block.slice]
-        F = unpenalized_fisher(beta, dataset, full_spec)
-        weights = gray_law(F, P, np.zeros_like(beta), excluded=delta)[0]
+        weights = _exclusion_law(dataset, full_spec, reduced_fit, P, delta)[0]
         result = dataclasses.replace(
             result,
             p_value_mc=weighted_chisq_pvalue(result.statistic, weights),

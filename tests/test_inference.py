@@ -582,6 +582,15 @@ def test_gray_flattening_law_matches_quadratic_form_moments():
     w, b = gray_law(F, P, mixed, excluded=[6], flattened=[[3, 4, 5]])
     assert w.shape == b.shape == (3,) and ((w > 0.0) & (w <= 1.0 + 1e-12)).all()
     check_moments(w, b, T[:, :4], mixed)
+    # only the symmetric part of the penalty counts, on every hypothesis
+    skew = np.triu(np.ones((7, 7)), 1)
+    skew -= skew.T
+    for args in ({"excluded": [6]}, {"excluded": [6], "flattened": [[3, 4, 5]]}):
+        np.testing.assert_allclose(
+            np.concatenate(gray_law(F, P + skew, mixed, **args)),
+            np.concatenate(gray_law(F, P, mixed, **args)),
+            rtol=1e-10, atol=1e-12,
+        )
 
     # the shared smoothing enters the weights: profiling the nuisance
     # with the unpenalized information gives other weights

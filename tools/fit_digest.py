@@ -64,6 +64,9 @@ from bolm.estimator import (  # noqa: E402
     unpenalized_fisher_batch,
 )
 from bolm.inference import (  # noqa: E402
+    _constrained_blocks,
+    _excluded_indices,
+    _exclusion_law,
     _null_penalty,
     default_null_calibration_truth,
     gray_law,
@@ -111,8 +114,9 @@ CLI_JOBS = (
 
 PENALIZED_FITS = ("os_arc1", "os_ridge", "os_arc2_s2", "os_arc2_s3", "os_arc2_s4")
 
-# the pinned penalized mc test of tests/test_cli.py: eq3 x smoothed in the
-# full model and excluded from the reduced one, on two 3 x 3 tables
+# the input of the pinned penalized mc test of tests/test_cli.py, held
+# here so that the digest's input stays fixed: eq3 x smoothed in the full
+# model and excluded from the reduced one, on two 3 x 3 tables
 MC_TABLES = (
     (0.0, [[40, 20, 10], [20, 30, 20], [10, 20, 40]]),
     (1.0, [[30, 20, 15], [25, 30, 25], [15, 25, 45]]),
@@ -192,24 +196,16 @@ def _arc1_eq3(*variables) -> dict:
 
 
 def exclusion_law():
-    """``gray_law`` as ``lr_test`` calls it on the pinned penalized mc test."""
+    """``lr_test``'s exclusion law, by its own helper, on the mc input."""
     pair = OrdinalPair(3, 3)
     dataset = Dataset.merged(pair, [((x,), np.array(t, dtype=float)) for x, t in MC_TABLES])
     eq3 = {"include": ["x"], "category_dependent": ["x"]}
     full = cli._parse_model({**MC_MARGINS, "eq3": eq3}, pair, ["x"])
     reduced = cli._parse_model(MC_MARGINS, pair, ["x"])
     reduced_fit = fit(dataset, reduced, cli._parse_penalty(_arc1_eq3(None)))
-    n = full.layout.size
-    beta = np.zeros(n)
-    for block in reduced.layout.blocks:
-        beta[full.layout.block(block.equation, block.variable).slice] = (
-            reduced_fit.beta_hat[block.slice]
-        )
-    F = unpenalized_fisher(beta, dataset, full)
     P = build_penalty_matrix(cli._parse_penalty(_arc1_eq3("x", None)), full)
-    tested = full.layout.block(3, "x")
-    excluded = np.arange(tested.start, tested.start + tested.length)
-    return gray_law(F, P, np.zeros(n), excluded=excluded)
+    excluded = _excluded_indices(full, _constrained_blocks(full, reduced))
+    return _exclusion_law(dataset, full, reduced_fit, P, excluded)
 
 
 def helpers_digest(null: int) -> str:
