@@ -42,14 +42,15 @@ replicate with an incompatible predictor scores -inf, every other its
 penalized log-likelihood.
 
 ``fit_batch`` runs the iteration for several datasets in lockstep on a
-leading replicate axis; ``fit`` is a batch of one.  Every replicate gets
-exactly the arithmetic it would get alone, so batching changes no bit of
-any result.
+leading replicate axis, with one penalty for all of them or one each;
+``fit`` is a batch of one.  Every replicate gets exactly the arithmetic
+it would get alone, so batching changes no bit of any result.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,25 +347,38 @@ def _by_group_count(datasets: list[Dataset]) -> list[list[int]]:
 def fit_batch(
     datasets: list[Dataset],
     spec: ModelSpec,
-    penalty: PenaltyConfig | None = None,
+    penalty: PenaltyConfig | Sequence[PenaltyConfig] | None = None,
     options: FitOptions | None = None,
 ) -> list[FitResult]:
     """Fit one model to several datasets by Fisher scoring in lockstep.
 
-    Datasets with the same group count run together on a leading
-    replicate axis: each scoring step forms the predictors, cells,
-    Jacobians, score and information of all of them at once, while each
-    replicate keeps its own convergence test, step length, iteration
-    count and stopping reason.  Result r equals ``fit(datasets[r], ...)``
-    bit for bit; ``fit`` is this function on a batch of one.
+    ``penalty`` is one config for every dataset or a list of one config
+    per dataset; the configs of datasets fitted together must share
+    their ordering terms.  Datasets with the same group count run
+    together on a leading replicate axis: each scoring step forms the
+    predictors, cells, Jacobians, score, information and penalty of all
+    of them at once, while each replicate keeps its own convergence
+    test, step length, iteration count and stopping reason.  Result r
+    equals ``fit(datasets[r], spec, configs[r], ...)`` bit for bit, and
+    its ``penalty`` is that config; ``fit`` is this function on a batch
+    of one.  Every penalty is checked before any fit starts.
     """
     penalty = penalty if penalty is not None else PenaltyConfig.none()
     options = options if options is not None else FitOptions()
     datasets = list(datasets)
+    shared = isinstance(penalty, PenaltyConfig)
+    configs = [penalty] * len(datasets) if shared else list(penalty)
+    if len(configs) != len(datasets):
+        raise ValueError(f"{len(configs)} penalties for {len(datasets)} datasets")
+    stacks = [
+        (members, PenaltyOperator(penalty if shared else [configs[r] for r in members], spec))
+        for members in _by_group_count(datasets)
+    ]
     results: list[FitResult] = [None] * len(datasets)  # type: ignore[list-item]
-    for members in _by_group_count(datasets):
+    for members, operator in stacks:
         stack = [datasets[r] for r in members]
-        for r, res in zip(members, _fit_stack(stack, spec, penalty, options)):
+        fits = _fit_stack(stack, spec, [configs[r] for r in members], operator, options)
+        for r, res in zip(members, fits):
             results[r] = res
     return results
 
@@ -381,19 +395,19 @@ def fit(
 def _fit_stack(
     datasets: list[Dataset],
     spec: ModelSpec,
-    penalty: PenaltyConfig,
+    configs: list[PenaltyConfig],
+    penalty: PenaltyOperator,
     options: FitOptions,
 ) -> list[FitResult]:
-    """Fisher scoring on datasets that share a group count."""
+    """Fisher scoring on datasets that share a group count; ``penalty``
+    holds the stack's ``configs``."""
     arrays = _Arrays(datasets, spec)
     layout = spec.layout
     R = len(datasets)
-    ordering = penalty.orderings
-    step = PenaltyOperator(penalty, spec)
 
-    def freeze(arrays: _Arrays, beta: np.ndarray) -> PenaltyOperator:
+    def freeze(step: PenaltyOperator, arrays: _Arrays, beta: np.ndarray) -> PenaltyOperator:
         # without ordering terms the penalty never changes
-        return ordering_state(step, arrays.X, arrays.n, beta) if ordering else step
+        return ordering_state(step, arrays.X, arrays.n, beta) if step.orderings else step
 
     if options.start is None:
         pooled = arrays.Y.sum(axis=1).reshape(R, spec.pair.d1, spec.pair.d2)
@@ -412,22 +426,23 @@ def _fit_stack(
     # the replicates still iterating and their state; a replicate's final
     # state goes to beta, pi and loglik when it stops
     live = np.arange(R)
-    work, b, pi_w, ll_w = arrays, beta.copy(), pi.copy(), loglik.copy()
+    work, step, b, pi_w, ll_w = arrays, penalty, beta.copy(), pi.copy(), loglik.copy()
     suspects = np.empty(0, dtype=int)  # groups that broke the last trial
 
     def retire(stopped: np.ndarray, why) -> np.ndarray:
         # why(i): the reason live replicate i stopped, None if it converged
-        nonlocal live, work, b, pi_w, ll_w
+        nonlocal live, work, step, b, pi_w, ll_w
         for i in np.flatnonzero(stopped).tolist():
             reasons[live[i]] = why(i)
         rows = live[stopped]
         beta[rows], pi[rows], loglik[rows] = b[stopped], pi_w[stopped], ll_w[stopped]
         keep = ~stopped
-        live, work, b, pi_w, ll_w = live[keep], work[keep], b[keep], pi_w[keep], ll_w[keep]
+        live, work, step = live[keep], work[keep], step[keep]
+        b, pi_w, ll_w = b[keep], pi_w[keep], ll_w[keep]
         return keep
 
     for _ in range(options.max_iter):
-        frozen = freeze(work, b)
+        frozen = freeze(step, work, b)
         lp = ll_w - 0.5 * frozen.tau(b)
         for r, value in zip(live.tolist(), lp.tolist()):
             traces[r].append(value)
@@ -459,7 +474,7 @@ def _fit_stack(
         capped = f"gradient tolerance not reached within {options.max_iter} iterations"
         retire(np.ones(live.size, dtype=bool), lambda i: capped)
 
-    frozen = freeze(arrays, beta)
+    frozen = freeze(penalty, arrays, beta)
     tau_hat = frozen.tau(beta)
     _, info = arrays.derivatives(pi)
     H = info + frozen.P
@@ -484,7 +499,7 @@ def _fit_stack(
             FitResult(
                 beta_hat=beta[r],
                 spec=spec,
-                penalty=penalty,
+                penalty=configs[r],
                 dataset=dataset,
                 cov=cov[r],
                 loglik=float(loglik[r]),

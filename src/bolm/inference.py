@@ -770,29 +770,29 @@ def _null_chunk(args) -> tuple[list[NullReplicateRecord], np.ndarray]:
     """Records and the unpenalized information at ``beta_true`` of the
     replicates first .. stop - 1.
 
-    Replicate r draws its data from stream r of the seed, and each level
-    fits the chunk in one call per model, so the outputs do not depend
-    on where the chunks start.
+    Replicate r draws its data from stream r of the seed.  Each model
+    fits every (replicate, level) pair of the chunk in one ``fit_batch``
+    call, one penalty per pair, and each fit has the bits it would get
+    alone, so the outputs do not depend on where the chunks start.
     """
     truth, reduced_spec, lambdas, seed, first, stop = args
     replicates = range(first, stop)
     datasets = [sample_dataset(truth, seed=seed, stream=r) for r in replicates]
-    options = FitOptions()
-    levels = []
-    for lam in lambdas:
-        full = fit_batch(datasets, truth.spec, _null_penalty(lam, truth.spec), options)
-        reduced = fit_batch(datasets, reduced_spec, _null_penalty(lam, reduced_spec), options)
-        outcomes = []
-        for full_fit, reduced_fit in zip(full, reduced):
+    n = len(datasets)
+    # level j of replicate i is pair j * n + i
+    full, reduced = (
+        fit_batch(datasets * len(lambdas), spec, [
+            config for lam in lambdas for config in [_null_penalty(lam, spec)] * n
+        ])
+        for spec in (truth.spec, reduced_spec)
+    )
+    records = []
+    for i, r in enumerate(replicates):
+        for j, lam in enumerate(lambdas):
+            full_fit, reduced_fit = full[j * n + i], reduced[j * n + i]
             ok = not (full_fit.fisher_scoring_failed or reduced_fit.fisher_scoring_failed)
             statistic = lrp_statistic(full_fit, reduced_fit) if ok else float("nan")
-            outcomes.append((float(statistic), ok))
-        levels.append(outcomes)
-    records = [
-        NullReplicateRecord(r, lam, *outcomes[i])
-        for i, r in enumerate(replicates)
-        for lam, outcomes in zip(lambdas, levels)
-    ]
+            records.append(NullReplicateRecord(r, lam, float(statistic), ok))
     return records, unpenalized_fisher_batch(truth.beta_true, datasets, truth.spec)
 
 
@@ -816,8 +816,9 @@ def simulate_lrp_null(
     collapses toward zero.  Replicate r uses stream r of the seed, so
     any subset of replicates can be reproduced independently.  Jobs of
     ``NULL_CHUNK`` replicates are fitted in lockstep by ``fit_batch``,
-    which gives each replicate the bits of a fit on its own, so the
-    outputs depend neither on the chunk size nor on ``threads``.
+    one stack per model over every (replicate, level) pair of the job,
+    which gives each fit the bits of a fit on its own, so the outputs
+    depend neither on the chunk size nor on ``threads``.
     Replicates where either fit fails are excluded from the summaries
     and counted.
 

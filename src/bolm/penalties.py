@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,13 +189,21 @@ _NOISE_SAFETY = 32.0
 class PenaltyOperator:
     """The penalty of one Fisher-scoring step for a stack of replicates.
 
-    Built from a config, it holds the block terms in factored form and
-    their matrix P, shared by every replicate.  Evaluating tau and P beta
-    through the block operators K avoids the catastrophic cancellation of
-    the assembled quadratic form: near an optimum K beta is tiny while
-    beta is not, so beta' P beta computed directly loses
-    ~lambda * eps * |beta|^2 of absolute accuracy, which at lambda >= 1e8
-    dwarfs the quantities themselves.
+    Built from one config, it holds the block terms in factored form and
+    their matrix P (p, p), shared by every replicate.  Built from a list
+    of configs, one per replicate, each block term holds its smoothing
+    value as an (R,) column, 0 for a replicate whose config lacks the
+    term, and P is (R, p, p); every config's terms keep their order, and
+    a term listed twice stays two terms.  A term at 0 adds a zero to a
+    replicate's tau, P beta and P, which changes no value, so each
+    replicate gets the bits of its own config alone.  The ordering terms are shared: the configs
+    of one stack must agree on them.
+
+    Evaluating tau and P beta through the block operators K avoids the
+    catastrophic cancellation of the assembled quadratic form: near an
+    optimum K beta is tiny while beta is not, so beta' P beta computed
+    directly loses ~lambda * eps * |beta|^2 of absolute accuracy, which
+    at lambda >= 1e8 dwarfs the quantities themselves.
 
     ``ordering_state`` freezes the ordering terms at one coefficient row
     per replicate: G = M X, (R, groups, rows, p), and one violation
@@ -207,35 +216,41 @@ class PenaltyOperator:
     replicate and give each the bits it would get alone.
     """
 
-    def __init__(self, config: PenaltyConfig, spec: ModelSpec):
-        layout = spec.layout
-        self.size = layout.size
-        self.terms = [
-            (layout.block(k, var).slice, lam, K)
-            for (k, var), lam, K in config.block_operators(spec)
-            if lam > 0.0
-        ]
-        self.orderings = config.orderings
+    def __init__(self, config: PenaltyConfig | Sequence[PenaltyConfig], spec: ModelSpec):
+        single = isinstance(config, PenaltyConfig)
+        configs = [config] if single else list(config)
+        orderings = {c.orderings for c in configs}
+        if len(orderings) > 1:
+            raise ValueError("the penalties of one stack differ in their ordering terms")
+        self.size = spec.layout.size
+        self.lead = () if single else (len(configs),)
+        self.terms = _stacked_terms(configs, spec, self.lead)
+        self.orderings = orderings.pop() if orderings else ()
         self.pair = spec.pair
         self.P = self.matrix()
         self.G = None  # until ordering_state freezes the ordering terms
         self.coefs: tuple[np.ndarray, ...] = ()
 
-    def _frozen(self, G, coefs, P=None) -> "PenaltyOperator":
-        """A copy with ordering terms G and coefs; P is assembled unless given."""
+    def _frozen(self, G, coefs) -> "PenaltyOperator":
+        """A copy with ordering terms G and coefs, and their P added."""
         out = copy.copy(self)
         out.G, out.coefs = G, coefs
-        if P is None:
-            rows, weights = out._rows()
-            P = self.P + sum(rows.mT @ (rows * w.mT) for w in weights)
-        out.P = P
+        rows, weights = out._rows()
+        out.P = self.P + sum(rows.mT @ (rows * w.mT) for w in weights)
         return out
 
     def __getitem__(self, keep: np.ndarray) -> "PenaltyOperator":
         """The replicates flagged in the boolean mask ``keep``."""
-        if self.G is None:
+        if self.P.ndim == 2:  # shared by every replicate
             return self
-        return self._frozen(self.G[keep], tuple(c[keep] for c in self.coefs), self.P[keep])
+        out = copy.copy(self)
+        out.P = self.P[keep]
+        if self.lead:
+            out.lead = out.P.shape[:1]
+            out.terms = [(sl, lam[keep], K) for sl, lam, K in self.terms]
+        if self.G is not None:
+            out.G, out.coefs = self.G[keep], tuple(c[keep] for c in self.coefs)
+        return out
 
     def _rows(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """G and each term's weights with groups and rows stacked:
@@ -263,7 +278,7 @@ class PenaltyOperator:
         the block terms give sum lam K'(K beta)."""
         out = np.zeros(beta.shape)
         for sl, lam, K in self.terms:
-            out[..., sl] += lam * (K.T @ (K @ beta[..., sl, None]))[..., 0]
+            out[..., sl] += lam[..., None] * (K.T @ (K @ beta[..., sl, None]))[..., 0]
         if self.G is None:
             return out
         G, weights = self._rows()
@@ -272,10 +287,10 @@ class PenaltyOperator:
         return out
 
     def matrix(self) -> np.ndarray:
-        """P of the block terms."""
-        P = np.zeros((self.size, self.size))
+        """P of the block terms, (p, p) or one per replicate."""
+        P = np.zeros((*self.lead, self.size, self.size))
         for sl, lam, K in self.terms:
-            P[sl, sl] += lam * (K.T @ K)
+            P[..., sl, sl] += lam[..., None, None] * (K.T @ K)
         return P
 
     def score_tolerance(self, beta: np.ndarray, grad_tol: float) -> np.ndarray:
@@ -291,6 +306,39 @@ class PenaltyOperator:
             )
         floor = _NOISE_SAFETY * np.finfo(float).eps * bound
         return np.maximum(grad_tol, floor)
+
+
+def _stacked_terms(
+    configs: list[PenaltyConfig], spec: ModelSpec, lead: tuple[int, ...]
+) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+    """The block terms of ``configs`` as (slice, lam, K), lam shaped ``lead``.
+
+    A config's terms go to slots in increasing order: each to the next
+    slot after its previous term's that has the same block and operator,
+    or to a new slot at the end.  Equal configs share one pass.
+    """
+    layout = spec.layout
+    slots: list[tuple[tuple[int, str], np.ndarray]] = []
+    columns: list[np.ndarray] = []
+    members: dict[PenaltyConfig, list[int]] = {}
+    for r, config in enumerate(configs):
+        members.setdefault(config, []).append(r)
+    for config, rows in members.items():
+        j = 0
+        for key, lam, K in config.block_operators(spec):
+            if lam == 0.0:
+                continue
+            while j < len(slots) and not (slots[j][0] == key and np.array_equal(slots[j][1], K)):
+                j += 1
+            if j == len(slots):
+                slots.append((key, K))
+                columns.append(np.zeros(len(configs)))
+            columns[j][rows] = lam
+            j += 1
+    return [
+        (layout.block(*key).slice, lam.reshape(lead), K)
+        for (key, K), lam in zip(slots, columns)
+    ]
 
 
 def _block_terms_only(config: PenaltyConfig, spec: ModelSpec) -> PenaltyOperator:

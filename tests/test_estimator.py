@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bolm import estimator
 from bolm.estimator import (
     FitOptions,
     FitResult,
@@ -314,11 +315,15 @@ def assert_same_fit(got: FitResult, want: FitResult) -> None:
 
 
 def assert_batch_equals_solo(datasets, spec, penalty=None):
+    """``penalty`` is one config for all datasets or a list, one each."""
     batch = fit_batch(datasets, spec, penalty)
     assert len(batch) == len(datasets)
-    for dataset, got in zip(datasets, batch):
+    configs = penalty if isinstance(penalty, list) else [penalty] * len(datasets)
+    for dataset, config, got in zip(datasets, configs, batch):
         assert got.dataset is dataset
-        assert_same_fit(got, fit(dataset, spec, penalty))
+        if config is not None:
+            assert got.penalty is config
+        assert_same_fit(got, fit(dataset, spec, config))
     return batch
 
 
@@ -332,6 +337,10 @@ def test_fit_batch_matches_solo_fits_on_null_replicates():
             assert all(res.converged for res in batch)
             # lockstep: replicates stop after different iteration counts
             assert len({res.iterations for res in batch}) > 1
+    # the null simulation's stack: each model's levels in one call
+    for spec in (truth.spec, reduced):
+        levels = [_null_penalty(lam, spec) for lam in (0.0, 1.0, 10.0, 50.0)]
+        assert_batch_equals_solo(datasets * 4, spec, [c for c in levels for _ in datasets])
 
 
 def test_fit_batch_matches_solo_fits_through_failures_and_ordering():
@@ -518,7 +527,17 @@ def test_fit_batch_splits_mixed_group_counts():
     wide = [sample_dataset(loss, seed=3, stream=r) for r in range(2)]
     narrow = [sample_dataset(null, seed=3, stream=r) for r in range(2)]
     assert {d.n_groups for d in wide} != {d.n_groups for d in narrow}
-    assert_batch_equals_solo([narrow[0], wide[0], narrow[1], wide[1]], loss.spec)
+    datasets = [narrow[0], wide[0], narrow[1], wide[1]]
+    assert_batch_equals_solo(datasets, loss.spec)
+    # one penalty each, with no terms, single terms and repeated terms
+    smooth = PenaltyConfig(smoothing_config(loss.spec, 10.0).blocks)
+    configs = [
+        PenaltyConfig.none(),
+        _null_penalty(1.0, loss.spec),
+        PenaltyConfig.composite(_null_penalty(1.0, loss.spec), smooth),
+        PenaltyConfig.none(),
+    ]
+    assert_batch_equals_solo(datasets, loss.spec, configs)
 
 
 def test_fit_batch_isolates_a_rank_deficient_replicate():
@@ -535,10 +554,33 @@ def test_fit_batch_isolates_a_rank_deficient_replicate():
     full_rank = [(0, 0), (1, 0), (0, 1)]
     datasets = [dataset(full_rank), dataset(full_rank), dataset([(0, 1), (1, 1), (2, 1)]),
                 dataset(full_rank)]
-    batch = assert_batch_equals_solo(datasets, spec)
-    assert "rank deficient" in batch[2].failure_reason
-    assert batch[2].fisher_scoring_failed and np.isnan(batch[2].cov).all()
-    assert all(batch[r].converged for r in (0, 1, 3))
+    configs = [
+        PenaltyConfig.none(),
+        PenaltyConfig.ridge({(3, INTERCEPT): 0.5}),
+        PenaltyConfig.arc1({(3, INTERCEPT): 2.0}),  # z still aliases the eq1 intercepts
+        PenaltyConfig.arc1({(1, INTERCEPT): 4.0, (3, INTERCEPT): 1.0}),
+    ]
+    for penalty in (None, configs):
+        batch = assert_batch_equals_solo(datasets, spec, penalty)
+        assert "rank deficient" in batch[2].failure_reason
+        assert batch[2].fisher_scoring_failed and np.isnan(batch[2].cov).all()
+        assert all(batch[r].converged for r in (0, 1, 3))
+
+
+def test_fit_batch_refuses_penalties_before_any_fit(monkeypatch):
+    stacks = []
+    monkeypatch.setattr(estimator, "_fit_stack", lambda *args: stacks.append(args))
+    loss = default_loss_benchmark_truth(n=400)
+    null = default_null_calibration_truth()
+    narrow = sample_dataset(null, seed=3, stream=0)
+    wide = [sample_dataset(loss, seed=3, stream=r) for r in range(2)]
+    with pytest.raises(ValueError, match="2 penalties for 3 datasets"):
+        fit_batch([narrow, *wide], loss.spec, [PenaltyConfig.none()] * 2)
+    # the first stack's penalty is fine, the second's differ in ordering terms
+    configs = [PenaltyConfig.none(), PenaltyConfig.ordering(1.0, 1.0), PenaltyConfig.none()]
+    with pytest.raises(ValueError, match="differ in their ordering terms"):
+        fit_batch([narrow, *wide], loss.spec, configs)
+    assert stacks == []
 
 
 def test_singular_information_at_convergence_fails_the_fit():

@@ -314,3 +314,74 @@ def test_step_penalty_stack_equals_each_replicate_alone():
                 stack.score_tolerance(beta, 1e-7)[r : r + 1],
             )
             assert np.array_equal(frozen.P, stack.P[r : r + 1])
+
+
+def _arc1(lam: float) -> PenaltyConfig:
+    return PenaltyConfig.arc1({(1, "x"): lam, (3, INTERCEPT): 2.0 * lam})
+
+
+# one config per replicate: no terms, arc1 at two values, arc2 on the
+# association streams, a composite that lists each arc1 term twice and
+# one whose terms run in the other order
+STACKED_CONFIGS = (
+    PenaltyConfig.none(),
+    _arc1(0.5),
+    _arc1(40.0),
+    PenaltyConfig.arc2({(3, INTERCEPT): 3.0, (4, INTERCEPT): 0.7}, {}),
+    PenaltyConfig.composite(_arc1(1.5), PenaltyConfig.ridge({(3, "x"): 0.3}), _arc1(2.5)),
+    PenaltyConfig.composite(PenaltyConfig.ridge({(3, "x"): 0.3}), _arc1(0.5)),
+)
+
+
+def assert_replicates_alone(stack, alone, beta, rows):
+    """Replicate i of ``stack`` at beta[i] has the bits of ``alone(rows[i])``
+    at that row."""
+    tau, grad = stack.tau(beta), stack.grad(beta)
+    tolerance = stack.score_tolerance(beta, 1e-7)
+    assert stack.P.shape == (len(rows), beta.shape[1], beta.shape[1])
+    for i, r in enumerate(rows):
+        op, b = alone(r), beta[i : i + 1]
+        assert np.array_equal(op.tau(b), tau[i : i + 1])
+        assert np.array_equal(op.grad(b), grad[i : i + 1])
+        assert np.array_equal(op.score_tolerance(b, 1e-7), tolerance[i : i + 1])
+        assert np.array_equal(np.broadcast_to(op.P, (1, *op.P.shape[-2:])), stack.P[i : i + 1])
+
+
+def test_operator_over_configs_gives_each_replicate_its_own_bits():
+    spec = covariate_spec()
+    size = ParamLayout(spec).size
+    R = len(STACKED_CONFIGS)
+    rng = np.random.default_rng(23)
+    beta = rng.normal(0.0, 3.0, (R, size))
+    keep = np.array([True, False, True, True, False, True])
+
+    stack = PenaltyOperator(list(STACKED_CONFIGS), spec)
+    # the repeated terms stay two terms each
+    repeated = PenaltyOperator(STACKED_CONFIGS[4], spec)
+    assert sum(bool(lam[4]) for _, lam, _ in stack.terms) == len(repeated.terms) == 5
+
+    def solo(r):
+        return PenaltyOperator(STACKED_CONFIGS[r], spec)
+
+    assert_replicates_alone(stack, solo, beta, range(R))
+    assert_replicates_alone(stack[keep], solo, beta[keep], np.flatnonzero(keep))
+
+    # a shared ordering term, frozen at beta
+    configs = [PenaltyConfig.composite(c, PenaltyConfig.ordering(1.0, 3.0, 0.1)) for c in STACKED_CONFIGS]
+    datasets = [
+        Dataset(spec.pair, rng.uniform(-1.0, 1.0, (5, 1)), rng.integers(1, 9, (5, 3, 3)))
+        for _ in range(R)
+    ]
+    X = np.stack([design_matrices(spec, ds) for ds in datasets])
+    weights = np.stack([ds.counts.sum(axis=(1, 2)) for ds in datasets])
+    frozen = ordering_state(PenaltyOperator(configs, spec), X, weights, beta)
+    assert all(c.any() and not c.all() for c in frozen.coefs)  # some rows violate
+
+    def frozen_solo(r):
+        return ordering_state(
+            PenaltyOperator(configs[r], spec), X[r : r + 1], weights[r : r + 1], beta[r : r + 1]
+        )
+
+    assert_replicates_alone(frozen, frozen_solo, beta, range(R))
+    assert_replicates_alone(frozen[keep], frozen_solo, beta[keep], np.flatnonzero(keep))
+

@@ -9,7 +9,9 @@ every ``FitResult`` field of
   the lambda = 0 retry with half steps, for loss replicates 0 .. N-1 of
   seed 20260816;
 - ``fit_batch`` on null-calibration replicates 0 .. N-1 of that seed at
-  lambda 0, 1, 10 and 50, for the full and the reduced model;
+  lambda 0, 1, 10 and 50, for the full and the reduced model, with each
+  model's four levels in one stacked call, as the null simulation makes
+  them;
 
 ``cli``, the SHA-256 of the exit code, stdout, stderr and output files
 of ``bolm.cli.main`` on each shipped config, with the repository path
@@ -159,9 +161,18 @@ def null_fits(replicates: int):
     truth = default_null_calibration_truth()
     reduced = with_global_effect(truth.spec, 3, "x")
     datasets = [sample_dataset(truth, SEED, stream=r) for r in range(replicates)]
-    for lam in NULL_LAMBDAS:
-        for spec in (truth.spec, reduced):
-            yield from fit_batch(datasets, spec, _null_penalty(lam, spec))
+    # each model's levels in one stack, as the null simulation fits them:
+    # level j of replicate i is fit j * replicates + i
+    full, reduced_fits = (
+        fit_batch(datasets * len(NULL_LAMBDAS), spec, [
+            config for lam in NULL_LAMBDAS for config in [_null_penalty(lam, spec)] * replicates
+        ])
+        for spec in (truth.spec, reduced)
+    )
+    for j in range(len(NULL_LAMBDAS)):
+        level = slice(j * replicates, (j + 1) * replicates)
+        yield from full[level]
+        yield from reduced_fits[level]
 
 
 def cli_digest(loss: int, null: int) -> str:
