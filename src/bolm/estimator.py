@@ -71,6 +71,13 @@ _STEP_HALVINGS = 30
 
 @dataclass(frozen=True)
 class FitOptions:
+    """Iteration cap, first trial step length and starting coefficients.
+
+    ``start`` is one coefficient vector (p,) for every dataset, or one
+    row per dataset (R, p) for ``fit_batch`` on R datasets; None starts
+    each dataset from ``default_start``.
+    """
+
     max_iter: int = 200
     step_length: float = 1.0
     start: np.ndarray | None = None
@@ -208,34 +215,44 @@ class _Arrays:
 _LADDER = 8
 
 # LAPACK's Cholesky factor and solve, as scipy's cho_factor and cho_solve
-# call them; see _solve_spd
+# call them; see _factor_spd
 _POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
-def _solve_spd(
-    H: np.ndarray, rhs: np.ndarray, layout: ParamLayout, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, dict[int, str]]:
-    """Solve H[r] x = rhs[r] by Cholesky for each replicate r (of ``rows``).
+def _factor_spd(
+    H: np.ndarray, layout: ParamLayout, rows: np.ndarray | None = None
+) -> tuple[dict[int, np.ndarray], dict[int, str]]:
+    """Cholesky factors of H[r] for each replicate r (of ``rows``).
 
-    LAPACK's potrf and potrs run once per matrix with the arguments that
-    scipy's cho_factor and cho_solve pass, so the bits are theirs.  Their
-    wrappers, which scipy's batched form calls once per matrix too, took
-    about 20 us a matrix at p = 16 against 6 us for the two calls (one
-    BLAS thread, 2-vCPU host).
-    A numerically singular H[r] leaves NaN in its solution and a
-    rank-deficiency text in ``failures[r]``; the others are unaffected.
+    LAPACK's potrf runs once per matrix with the arguments that scipy's
+    cho_factor passes, and ``_solve_factored`` calls potrs as cho_solve
+    does, so the bits are theirs.  Their wrappers, which scipy's batched
+    form calls once per matrix too, took about 20 us a matrix at p = 16
+    against 6 us for the two calls (one BLAS thread, 2-vCPU host).
+    A numerically singular H[r] has no factor and a rank-deficiency
+    text in ``failures[r]``; the others are unaffected.
     """
-    x = np.full(rhs.shape, np.nan)
+    factors: dict[int, np.ndarray] = {}
     failures: dict[int, str] = {}
-    for r in range(len(H)) if rows is None else np.flatnonzero(rows):
+    for r in range(len(H)) if rows is None else np.flatnonzero(rows).tolist():
         c, info = _POTRF(H[r], lower=False, clean=False)
         if info == 0:
-            x_r, info = _POTRS(c, rhs[r], lower=False)
-        if info == 0:
-            x[r] = x_r
+            factors[r] = c
         else:
-            failures[int(r)] = _singular_text(H[r], layout)
-    return x, failures
+            failures[r] = _singular_text(H[r], layout)
+    return factors, failures
+
+
+def _solve_factored(factors: dict[int, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """x[r] solving H[r] x = rhs[r] for each factored replicate r, NaN
+    rows elsewhere; potrs fails only on an illegal argument, and raises
+    then as cho_solve does."""
+    x = np.full(rhs.shape, np.nan)
+    for r, c in factors.items():
+        x[r], info = _POTRS(c, rhs[r], lower=False)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of internal potrs")
+    return x
 
 
 def _singular_text(A: np.ndarray, layout: ParamLayout) -> str:
@@ -354,30 +371,42 @@ def fit_batch(
 
     ``penalty`` is one config for every dataset or a list of one config
     per dataset; the configs of datasets fitted together must share
-    their ordering terms.  Datasets with the same group count run
-    together on a leading replicate axis: each scoring step forms the
-    predictors, cells, Jacobians, score, information and penalty of all
-    of them at once, while each replicate keeps its own convergence
-    test, step length, iteration count and stopping reason.  Result r
-    equals ``fit(datasets[r], spec, configs[r], ...)`` bit for bit, and
-    its ``penalty`` is that config; ``fit`` is this function on a batch
-    of one.  Every penalty is checked before any fit starts.
+    their ordering terms.  ``options.start`` is one start for every
+    dataset or one row per dataset.  Datasets with the same group count
+    run together on a leading replicate axis: each scoring step forms
+    the predictors, cells, Jacobians, score, information and penalty of
+    all of them at once, while each replicate keeps its own start,
+    convergence test, step length, iteration count and stopping reason.
+    Result r equals ``fit(datasets[r], spec, configs[r], ...)`` with
+    start row r bit for bit, and its ``penalty`` is that config; ``fit``
+    is this function on a batch of one.  Every penalty and the start's
+    shape are checked before any fit starts.
     """
     penalty = penalty if penalty is not None else PenaltyConfig.none()
     options = options if options is not None else FitOptions()
     datasets = list(datasets)
+    R = len(datasets)
     shared = isinstance(penalty, PenaltyConfig)
-    configs = [penalty] * len(datasets) if shared else list(penalty)
-    if len(configs) != len(datasets):
-        raise ValueError(f"{len(configs)} penalties for {len(datasets)} datasets")
+    configs = [penalty] * R if shared else list(penalty)
+    if len(configs) != R:
+        raise ValueError(f"{len(configs)} penalties for {R} datasets")
+    starts = None
+    if options.start is not None:
+        starts = np.asarray(options.start, dtype=float)
+        p = spec.layout.size
+        if starts.shape != (R, p):
+            if starts.size != p:
+                raise ValueError(f"start length {starts.size}, expected {p} or {R} rows of {p}")
+            starts = np.broadcast_to(starts.reshape(-1), (R, p))
     stacks = [
         (members, PenaltyOperator(penalty if shared else [configs[r] for r in members], spec))
         for members in _by_group_count(datasets)
     ]
-    results: list[FitResult] = [None] * len(datasets)  # type: ignore[list-item]
+    results: list[FitResult] = [None] * R  # type: ignore[list-item]
     for members, operator in stacks:
         stack = [datasets[r] for r in members]
-        fits = _fit_stack(stack, spec, [configs[r] for r in members], operator, options)
+        start = None if starts is None else starts[members]
+        fits = _fit_stack(stack, spec, [configs[r] for r in members], operator, options, start)
         for r, res in zip(members, fits):
             results[r] = res
     return results
@@ -398,9 +427,11 @@ def _fit_stack(
     configs: list[PenaltyConfig],
     penalty: PenaltyOperator,
     options: FitOptions,
+    start: np.ndarray | None,
 ) -> list[FitResult]:
     """Fisher scoring on datasets that share a group count; ``penalty``
-    holds the stack's ``configs``."""
+    holds the stack's ``configs`` and ``start`` one row per dataset,
+    None for the independence starts."""
     arrays = _Arrays(datasets, spec)
     layout = spec.layout
     R = len(datasets)
@@ -409,14 +440,11 @@ def _fit_stack(
         # without ordering terms the penalty never changes
         return ordering_state(step, arrays.X, arrays.n, beta) if step.orderings else step
 
-    if options.start is None:
+    if start is None:
         pooled = arrays.Y.sum(axis=1).reshape(R, spec.pair.d1, spec.pair.d2)
         beta = _independence_starts(pooled, spec)
     else:
-        start = np.asarray(options.start, dtype=float).reshape(-1)
-        if start.size != layout.size:
-            raise ValueError(f"start length {start.size}, expected {layout.size}")
-        beta = np.tile(start, (R, 1))
+        beta = start  # a fresh array: fancy indexing copies
     pi, loglik = arrays.probs(beta)
 
     iterations = np.zeros(R, dtype=int)
@@ -449,7 +477,8 @@ def _fit_stack(
         score, info = work.derivatives(pi_w)
         s_pen = score - frozen.grad(b)
         stop = np.all(np.abs(s_pen) < frozen.score_tolerance(b, _GRAD_TOL), axis=-1)
-        direction, singular = _solve_spd(info + frozen.P, s_pen[..., None], layout, ~stop)
+        factors, singular = _factor_spd(info + frozen.P, layout, ~stop)
+        direction = _solve_factored(factors, s_pen[..., None])
         if stop.any() or singular:
             stop[list(singular)] = True
             keep = retire(stop, singular.get)
@@ -479,13 +508,15 @@ def _fit_stack(
     _, info = arrays.derivatives(pi)
     H = info + frozen.P
     p = layout.size
-    cov, singular = _solve_spd(H, np.broadcast_to(np.eye(p), H.shape), layout)
+    # one factor per replicate serves both solves
+    factors, singular = _factor_spd(H, layout)
+    cov = _solve_factored(factors, np.broadcast_to(np.eye(p), H.shape))
     edf = np.full(R, float(p))
     # tr(H) = tr((X'WX + P)^-1 X'WX); exactly p when P = 0
     smoothed = np.broadcast_to(frozen.P.any(axis=(-2, -1)), (R,)).copy()
     smoothed[list(singular)] = False
     if smoothed.any():
-        hat, _ = _solve_spd(H, info, layout, smoothed)
+        hat = _solve_factored({r: c for r, c in factors.items() if smoothed[r]}, info)
         edf[smoothed] = np.trace(hat[smoothed], axis1=-2, axis2=-1)
     for r, text in singular.items():
         edf[r] = float("nan")

@@ -30,6 +30,7 @@ practice.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,6 +42,7 @@ from scipy.special import chdtr, chdtrc, gammaincinv
 from .estimator import (
     FitOptions,
     FitResult,
+    default_start,
     fit,
     fit_batch,
     unpenalized_fisher,
@@ -119,6 +121,7 @@ class LrpResult:
     warnings: tuple[str, ...] = ()
 
 
+@functools.lru_cache(maxsize=64)
 def is_nested(reduced: ModelSpec, full: ModelSpec) -> bool:
     """True when every fit of ``reduced`` is also a fit of ``full``.
 
@@ -127,6 +130,10 @@ def is_nested(reduced: ModelSpec, full: ModelSpec) -> bool:
     association intercept that is not more flexible in the reduced
     model.  A uniform association nests inside a category-dependent
     one, not the other way around.
+
+    Specs are frozen, so the answer is cached per pair: the null
+    simulation tests every pair of its fits, 160 a chunk, with the same
+    two specs.
     """
     if reduced.pair != full.pair:
         return False
@@ -629,8 +636,15 @@ def aic_profile(
     An order the intercepts cannot take, nothing to smooth or a given
     ``options.start`` raises ValueError before any fit.  Per order the
     fits walk the lambdas upwards, each warm started from the last
-    converged fit.  Returns the points in (order, lambda) order and the
-    converged fit with the least AIC, None when no fit converged.
+    converged fit of its order, or from ``default_start`` before one.
+    The walk takes each lambda once, with one ``fit_batch`` call across
+    the orders; each fit has the bits of that order's chain of solo
+    fits.  A call that raises ``IncompatibleEta`` or
+    ``FloatingPointError`` is fitted again one order at a time, so a
+    raise fails only its own point.  Returns the points in (order,
+    lambda) order and the converged fit with the least AIC, taken in
+    the order of ``orders`` and then of the lambdas, None when no fit
+    converged.
     """
     options = options if options is not None else FitOptions()
     if options.start is not None:
@@ -639,25 +653,44 @@ def aic_profile(
         if not _profile_penalty(order, 1.0).block_operators(spec):
             raise ValueError("the model's association intercepts have nothing to smooth")
     lambdas = sorted(float(v) for v in lambdas)
+    starts = np.tile(default_start(dataset, spec), (len(orders), 1))
+    # fits[i][j]: order i at lambda j, None when it failed
+    fits: list[list[FitResult | None]] = [[] for _ in orders]
+    for lam in lambdas:
+        configs = [_profile_penalty(order, lam) for order in orders]
+        try:
+            results = fit_batch(
+                [dataset] * len(orders), spec, configs, dataclasses.replace(options, start=starts)
+            )
+        except (IncompatibleEta, FloatingPointError):
+            results = [_fit_or_none(dataset, spec, c, options, b) for c, b in zip(configs, starts)]
+        for i, res in enumerate(results):
+            ok = res is not None and not res.fisher_scoring_failed
+            fits[i].append(res if ok else None)
+            if ok:
+                starts[i] = res.beta_hat
     points: list[ProfilePoint] = []
     best, best_aic = None, math.inf
-    for order in orders:
-        start = None
-        for lam in lambdas:
-            opts = dataclasses.replace(options, start=start)
-            try:
-                res = fit(dataset, spec, _profile_penalty(order, lam), opts)
-            except (IncompatibleEta, FloatingPointError):
-                res = None
-            if res is None or res.fisher_scoring_failed:
+    for order, row in zip(orders, fits):
+        for lam, res in zip(lambdas, row):
+            if res is None:
                 points.append(ProfilePoint(order, lam, math.nan, math.nan, False))
                 continue
             points.append(ProfilePoint(order, lam, res.aic, res.edf, True))
-            start = res.beta_hat
             if res.aic < best_aic:
                 best, best_aic = res, res.aic
     points.sort(key=lambda p: (p.order, p.lam))
     return points, best
+
+
+def _fit_or_none(
+    dataset: Dataset, spec: ModelSpec, penalty: PenaltyConfig, options: FitOptions, start
+) -> FitResult | None:
+    """One profile fit alone from ``start``; None when it raises."""
+    try:
+        return fit(dataset, spec, penalty, dataclasses.replace(options, start=start))
+    except (IncompatibleEta, FloatingPointError):
+        return None
 
 
 def default_null_calibration_truth(n: int = 400) -> GeneratingModel:

@@ -240,14 +240,21 @@ class PenaltyOperator:
         return out
 
     def __getitem__(self, keep: np.ndarray) -> "PenaltyOperator":
-        """The replicates flagged in the boolean mask ``keep``."""
+        """The replicates flagged in the boolean mask ``keep``.
+
+        Built from a list of configs, the slice drops every block term
+        whose smoothing value is 0 for all kept replicates: such a term
+        only adds zeros, so no kept replicate's bits move, and a lone
+        replicate left iterating pays for its own terms only.
+        """
         if self.P.ndim == 2:  # shared by every replicate
             return self
         out = copy.copy(self)
         out.P = self.P[keep]
         if self.lead:
             out.lead = out.P.shape[:1]
-            out.terms = [(sl, lam[keep], K) for sl, lam, K in self.terms]
+            kept = ((sl, lam[keep], K) for sl, lam, K in self.terms)
+            out.terms = [term for term in kept if term[1].any()]
         if self.G is not None:
             out.G, out.coefs = self.G[keep], tuple(c[keep] for c in self.coefs)
         return out

@@ -314,16 +314,18 @@ def assert_same_fit(got: FitResult, want: FitResult) -> None:
             assert a is b or a == b, field.name
 
 
-def assert_batch_equals_solo(datasets, spec, penalty=None):
-    """``penalty`` is one config for all datasets or a list, one each."""
-    batch = fit_batch(datasets, spec, penalty)
+def assert_batch_equals_solo(datasets, spec, penalty=None, starts=None):
+    """``penalty`` is one config for all datasets or a list, one each;
+    ``starts`` is None or one start row per dataset."""
+    batch = fit_batch(datasets, spec, penalty, FitOptions(start=starts))
     assert len(batch) == len(datasets)
     configs = penalty if isinstance(penalty, list) else [penalty] * len(datasets)
-    for dataset, config, got in zip(datasets, configs, batch):
+    rows = [None] * len(datasets) if starts is None else starts
+    for dataset, config, row, got in zip(datasets, configs, rows, batch):
         assert got.dataset is dataset
         if config is not None:
             assert got.penalty is config
-        assert_same_fit(got, fit(dataset, spec, config))
+        assert_same_fit(got, fit(dataset, spec, config, FitOptions(start=row)))
     return batch
 
 
@@ -538,6 +540,45 @@ def test_fit_batch_splits_mixed_group_counts():
         PenaltyConfig.none(),
     ]
     assert_batch_equals_solo(datasets, loss.spec, configs)
+
+
+def test_fit_batch_takes_one_start_row_per_dataset(monkeypatch):
+    loss = default_loss_benchmark_truth(n=400)
+    null = default_null_calibration_truth()
+    wide = [sample_dataset(loss, seed=3, stream=r) for r in range(2)]
+    narrow = [sample_dataset(null, seed=3, stream=r) for r in range(2)]
+    datasets = [narrow[0], wide[0], narrow[1], wide[1]]
+    # each dataset from its own start, the stacks take their rows
+    starts = np.stack([default_start(ds, loss.spec) for ds in datasets])
+    starts[:, -1] = [0.3, -0.2, 0.0, 0.1]
+    configs = [PenaltyConfig.none(), _null_penalty(1.0, loss.spec)] * 2
+    batch = assert_batch_equals_solo(datasets, loss.spec, configs, starts)
+    assert len({res.iterations for res in batch}) > 1
+    # a start row per dataset is refused unless there is one row each
+    stacks = []
+    monkeypatch.setattr(estimator, "_fit_stack", lambda *args: stacks.append(args))
+    for bad in (starts[:3], starts[:, :-1], starts[None]):
+        with pytest.raises(ValueError, match="start length"):
+            fit_batch(datasets, loss.spec, options=FitOptions(start=bad))
+    assert stacks == []
+
+
+def test_final_stage_factors_each_replicate_once(monkeypatch):
+    factored = []
+    potrf = estimator._POTRF
+
+    def counted(a, **kwargs):
+        factored.append(a.shape)
+        return potrf(a, **kwargs)
+
+    monkeypatch.setattr(estimator, "_POTRF", counted)
+    truth = default_null_calibration_truth()
+    datasets = [sample_dataset(truth, seed=20260816, stream=r) for r in range(6)]
+    batch = fit_batch(datasets, truth.spec, _null_penalty(10.0, truth.spec))
+    assert all(res.converged and res.edf < truth.spec.layout.size for res in batch)
+    # one factor per scoring step of each replicate, and one at the end
+    # that serves both the covariance and the edf
+    assert len(factored) == sum(res.iterations for res in batch) + len(batch)
 
 
 def test_fit_batch_isolates_a_rank_deficient_replicate():

@@ -364,7 +364,13 @@ def test_operator_over_configs_gives_each_replicate_its_own_bits():
         return PenaltyOperator(STACKED_CONFIGS[r], spec)
 
     assert_replicates_alone(stack, solo, beta, range(R))
-    assert_replicates_alone(stack[keep], solo, beta[keep], np.flatnonzero(keep))
+    # a slice drops the slots at zero for every kept replicate: alone, the
+    # arc2 replicate keeps its own two terms only
+    lone = np.arange(R) == 3
+    assert len(stack[lone].terms) == len(solo(3).terms) == 2
+    for mask in (keep, lone):
+        assert all(lam.any() for _, lam, _ in stack[mask].terms)
+        assert_replicates_alone(stack[mask], solo, beta[mask], np.flatnonzero(mask))
 
     # a shared ordering term, frozen at beta
     configs = [PenaltyConfig.composite(c, PenaltyConfig.ordering(1.0, 3.0, 0.1)) for c in STACKED_CONFIGS]
@@ -383,5 +389,6 @@ def test_operator_over_configs_gives_each_replicate_its_own_bits():
         )
 
     assert_replicates_alone(frozen, frozen_solo, beta, range(R))
-    assert_replicates_alone(frozen[keep], frozen_solo, beta[keep], np.flatnonzero(keep))
+    for mask in (keep, lone):
+        assert_replicates_alone(frozen[mask], frozen_solo, beta[mask], np.flatnonzero(mask))
 

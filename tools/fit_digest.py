@@ -30,7 +30,9 @@ public helpers that a fit does not call:
 - ``gray_law``: the flattening laws of the null calibration at lambda 0,
   1, 10 and 50, with the mean information of those null replicates, and
   the exclusion law that ``lr_test`` computes for the penalized ``mc``
-  test pinned in ``tests/test_cli.py``.
+  test pinned in ``tests/test_cli.py``;
+- ``aic_profile`` on the shipped ``os_profile`` config: its points and
+  every ``FitResult`` field of its best fit.
 
 Arrays are hashed as bytes, everything else by ``repr``.
 
@@ -70,6 +72,7 @@ from bolm.inference import (  # noqa: E402
     _excluded_indices,
     _exclusion_law,
     _null_penalty,
+    aic_profile,
     default_null_calibration_truth,
     gray_law,
     with_global_effect,
@@ -219,6 +222,17 @@ def exclusion_law():
     return _exclusion_law(dataset, full, reduced_fit, P, excluded)
 
 
+def profile():
+    """``aic_profile`` on the shipped profile config, as ``bolm profile``
+    calls it."""
+    config = REPO / "configs" / "os_profile.json"
+    payload = json.loads(config.read_text())
+    dataset, cov_names, _ = cli._build_dataset(payload["dataset"], config.parent)
+    spec = cli._parse_model(payload["model"], dataset.pair, cov_names)
+    lambdas = [10.0 ** float(g) for g in payload["log_lambdas"]]
+    return aic_profile(dataset, spec, payload["s_values"], lambdas)
+
+
 def helpers_digest(null: int) -> str:
     h = hashlib.sha256()
     for name in PENALIZED_FITS:
@@ -268,6 +282,9 @@ def helpers_digest(null: int) -> str:
     weights, shifts = exclusion_law()
     _update(h, "exclusion_law/weights", weights)
     _update(h, "exclusion_law/shifts", shifts)
+    points, best = profile()
+    _update(h, "profile/points", points)
+    _hash_fit(h, best)
     return h.hexdigest()
 
 
