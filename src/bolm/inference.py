@@ -30,7 +30,6 @@ practice.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -121,7 +120,6 @@ class LrpResult:
     warnings: tuple[str, ...] = ()
 
 
-@functools.lru_cache(maxsize=64)
 def is_nested(reduced: ModelSpec, full: ModelSpec) -> bool:
     """True when every fit of ``reduced`` is also a fit of ``full``.
 
@@ -130,10 +128,6 @@ def is_nested(reduced: ModelSpec, full: ModelSpec) -> bool:
     association intercept that is not more flexible in the reduced
     model.  A uniform association nests inside a category-dependent
     one, not the other way around.
-
-    Specs are frozen, so the answer is cached per pair: the null
-    simulation tests every pair of its fits, 160 a chunk, with the same
-    two specs.
     """
     if reduced.pair != full.pair:
         return False

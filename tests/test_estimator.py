@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bolm import estimator
+from bolm import cli, estimator, inference
 from bolm.estimator import (
     FitOptions,
     FitResult,
@@ -33,6 +35,8 @@ from bolm.model_core import (
 from bolm.penalties import PenaltyConfig, build_penalty_matrix
 from bolm.inference import (
     _null_penalty,
+    _profile_penalty,
+    aic_profile,
     default_null_calibration_truth,
     with_global_effect,
 )
@@ -579,6 +583,51 @@ def test_final_stage_factors_each_replicate_once(monkeypatch):
     # one factor per scoring step of each replicate, and one at the end
     # that serves both the covariance and the edf
     assert len(factored) == sum(res.iterations for res in batch) + len(batch)
+
+
+def _profile_chains(dataset, spec, orders, lambdas) -> dict:
+    """The fits of an AIC profile as order-by-order chains of solo fits,
+    each warm started from the last converged fit of its order."""
+    fits = {}
+    for order in orders:
+        start = None
+        for lam in sorted(lambdas):
+            res = fit(dataset, spec, _profile_penalty(order, lam), FitOptions(start=start))
+            fits[order, lam] = res
+            if res.converged:
+                start = res.beta_hat
+    return fits
+
+
+def test_aic_profile_stacks_the_orders_with_the_bits_of_solo_chains(monkeypatch):
+    # the shipped 4 x 18 grid of the 7 x 7 occupational-status table
+    config = DATA.parent / "configs" / "os_profile.json"
+    dataset, spec, orders, lambdas = cli._profile_grid(json.loads(config.read_text()), config.parent)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(estimator.fit_batch(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(inference, "fit_batch", recorded)
+    points, best = aic_profile(dataset, spec, orders, lambdas)
+    # one call per lambda across the orders, every fit a solo chain's
+    chains = _profile_chains(dataset, spec, orders, lambdas)
+    assert len(calls) == len(lambdas)
+    for lam, results in zip(sorted(lambdas), calls):
+        for order, res in zip(orders, results):
+            assert_same_fit(res, chains[order, lam])
+    assert [(p.order, p.lam) for p in points] == sorted(chains)
+    for p in points:
+        want = chains[p.order, p.lam]
+        assert p.converged == want.converged
+        expected = [want.aic, want.edf] if want.converged else [math.nan, math.nan]
+        assert np.array_equal([p.aic, p.edf], expected, equal_nan=True)
+    # the order-1 fits stall at the two lightest smoothings
+    assert [(p.order, p.lam) for p in points if not p.converged] == [(1, 0.01), (1, 0.1)]
+    assert chains[1, 0.01].iterations == chains[1, 0.1].iterations == 200
+    least = min((res.aic, i) for i, res in enumerate(chains.values()) if res.converged)
+    assert_same_fit(best, list(chains.values())[least[1]])
 
 
 def test_fit_batch_isolates_a_rank_deficient_replicate():

@@ -1,14 +1,12 @@
 import dataclasses
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from bolm import cli, estimator, inference
-from bolm.estimator import FitOptions, FitResult, fit, unpenalized_fisher
+from bolm import estimator, inference
+from bolm.estimator import FitOptions, fit, unpenalized_fisher
 from bolm.link_map import IncompatibleEta
 from bolm.inference import (
     HEAVY_LAMBDA,
@@ -468,67 +466,6 @@ def test_aic_profile_walks_the_grid_and_keeps_the_best_fit(monkeypatch):
         aic_profile(dataset, spec, (1,), (0.0,), FitOptions(start=best.beta_hat))
 
 
-def _profile_chains(dataset, spec, orders, lambdas) -> dict:
-    """The fits of an AIC profile as order-by-order chains of solo fits,
-    each warm started from the last converged fit of its order."""
-    fits = {}
-    for order in orders:
-        start = None
-        for lam in sorted(lambdas):
-            res = fit(dataset, spec, inference._profile_penalty(order, lam), FitOptions(start=start))
-            fits[order, lam] = res
-            if res.converged:
-                start = res.beta_hat
-    return fits
-
-
-def _assert_same_fit(got: FitResult, want: FitResult) -> None:
-    for field in dataclasses.fields(FitResult):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(a, (np.ndarray, tuple, float)):
-            assert np.array_equal(a, b, equal_nan=True), field.name
-        else:
-            assert a is b or a == b, field.name
-
-
-def _profile_grid() -> tuple:
-    """The dataset, model and grid of the shipped 7 x 7 profile config."""
-    path = Path(__file__).resolve().parents[1] / "configs" / "os_profile.json"
-    config = json.loads(path.read_text())
-    dataset, names, _ = cli._build_dataset(config["dataset"], path.parent)
-    spec = cli._parse_model(config["model"], dataset.pair, names)
-    return dataset, spec, config["s_values"], [10.0**g for g in config["log_lambdas"]]
-
-
-def test_aic_profile_stacks_the_orders_with_the_bits_of_solo_chains(monkeypatch):
-    dataset, spec, orders, lambdas = _profile_grid()
-    calls = []
-
-    def recorded(*args, **kwargs):
-        calls.append(estimator.fit_batch(*args, **kwargs))
-        return calls[-1]
-
-    monkeypatch.setattr(inference, "fit_batch", recorded)
-    points, best = aic_profile(dataset, spec, orders, lambdas)
-    # one call per lambda across the orders, every fit a solo chain's
-    chains = _profile_chains(dataset, spec, orders, lambdas)
-    assert len(calls) == len(lambdas)
-    for lam, results in zip(sorted(lambdas), calls):
-        for order, res in zip(orders, results):
-            _assert_same_fit(res, chains[order, lam])
-    assert [(p.order, p.lam) for p in points] == sorted(chains)
-    for p in points:
-        want = chains[p.order, p.lam]
-        assert p.converged == want.converged
-        expected = [want.aic, want.edf] if want.converged else [math.nan, math.nan]
-        assert np.array_equal([p.aic, p.edf], expected, equal_nan=True)
-    # the order-1 fits stall at the two lightest smoothings
-    assert [(p.order, p.lam) for p in points if not p.converged] == [(1, 0.01), (1, 0.1)]
-    assert chains[1, 0.01].iterations == chains[1, 0.1].iterations == 200
-    least = min((res.aic, i) for i, res in enumerate(chains.values()) if res.converged)
-    _assert_same_fit(best, list(chains.values())[least[1]])
-
-
 @pytest.mark.parametrize("error", [IncompatibleEta, FloatingPointError])
 def test_aic_profile_fails_only_the_point_that_raises(monkeypatch, error):
     counts = np.array([[12, 8, 5, 3], [7, 14, 9, 4], [4, 9, 13, 8], [2, 5, 9, 15]])
@@ -554,9 +491,9 @@ def test_aic_profile_fails_only_the_point_that_raises(monkeypatch, error):
         elif (got.order, got.lam) != (2, 100.0):
             assert got == want
     # the next lambda of that order starts from its last converged fit
-    chains = _profile_chains(dataset, spec, (2,), (0.0,))
+    last = fit(dataset, spec, inference._profile_penalty(2, 0.0))
     resumed = fit(dataset, spec, inference._profile_penalty(2, 100.0),
-                  FitOptions(start=chains[2, 0.0].beta_hat))
+                  FitOptions(start=last.beta_hat))
     assert (points[-1].aic, points[-1].edf) == (resumed.aic, resumed.edf)
     assert best is not None and best.converged
 

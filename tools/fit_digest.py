@@ -226,11 +226,7 @@ def profile():
     """``aic_profile`` on the shipped profile config, as ``bolm profile``
     calls it."""
     config = REPO / "configs" / "os_profile.json"
-    payload = json.loads(config.read_text())
-    dataset, cov_names, _ = cli._build_dataset(payload["dataset"], config.parent)
-    spec = cli._parse_model(payload["model"], dataset.pair, cov_names)
-    lambdas = [10.0 ** float(g) for g in payload["log_lambdas"]]
-    return aic_profile(dataset, spec, payload["s_values"], lambdas)
+    return aic_profile(*cli._profile_grid(json.loads(config.read_text()), config.parent))
 
 
 def helpers_digest(null: int) -> str:
