@@ -819,15 +819,16 @@ _HANDLERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads must be at least 1")
         config = _load_config(args.config)
+        if args.seed is not None:
+            config["seed"] = args.seed
         _validate_config(config, _SCHEMAS[args.command])
         config["_base_dir"] = Path(args.config).resolve().parent
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
-        return _HANDLERS[args.command](config, seed, out, args.threads)
+        return _HANDLERS[args.command](config, int(config.get("seed", 0)), out, args.threads)
     except (IncompatibleEta, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -42,8 +42,8 @@ replicate with an incompatible predictor scores -inf, every other its
 penalized log-likelihood.
 
 ``fit_batch`` runs the iteration for several datasets in lockstep on a
-leading replicate axis, with one penalty for all of them or one each;
-``fit`` is a batch of one.  Every replicate gets exactly the arithmetic
+leading replicate axis, with one penalty config per replicate; ``fit``
+is a batch of one.  Every replicate gets exactly the arithmetic
 it would get alone, so batching changes no bit of any result.
 """
 
@@ -370,13 +370,15 @@ def fit_batch(
     """Fit one model to several datasets by Fisher scoring in lockstep.
 
     ``penalty`` is one config for every dataset or a list of one config
-    per dataset; the configs of datasets fitted together must share
-    their ordering terms.  ``options.start`` is one start for every
-    dataset or one row per dataset.  Datasets with the same group count
-    run together on a leading replicate axis: each scoring step forms
-    the predictors, cells, Jacobians, score, information and penalty of
-    all of them at once, while each replicate keeps its own start,
-    convergence test, step length, iteration count and stopping reason.
+    per dataset; either way each stack's ``PenaltyOperator`` is built
+    from one config per replicate, and the configs of datasets fitted
+    together must share their ordering terms.  ``options.start`` is one
+    start for every dataset or one row per dataset.  Datasets with the
+    same group count run together on a leading replicate axis: each
+    scoring step forms the predictors, cells, Jacobians, score,
+    information and penalty of all of them at once, while each replicate
+    keeps its own start, convergence test, step length, iteration count
+    and stopping reason.
     Result r equals ``fit(datasets[r], spec, configs[r], ...)`` with
     start row r bit for bit, and its ``penalty`` is that config; ``fit``
     is this function on a batch of one.  Every penalty and the start's
@@ -386,8 +388,7 @@ def fit_batch(
     options = options if options is not None else FitOptions()
     datasets = list(datasets)
     R = len(datasets)
-    shared = isinstance(penalty, PenaltyConfig)
-    configs = [penalty] * R if shared else list(penalty)
+    configs = [penalty] * R if isinstance(penalty, PenaltyConfig) else list(penalty)
     if len(configs) != R:
         raise ValueError(f"{len(configs)} penalties for {R} datasets")
     starts = None
@@ -399,7 +400,7 @@ def fit_batch(
                 raise ValueError(f"start length {starts.size}, expected {p} or {R} rows of {p}")
             starts = np.broadcast_to(starts.reshape(-1), (R, p))
     stacks = [
-        (members, PenaltyOperator(penalty if shared else [configs[r] for r in members], spec))
+        (members, PenaltyOperator([configs[r] for r in members], spec))
         for members in _by_group_count(datasets)
     ]
     results: list[FitResult] = [None] * R  # type: ignore[list-item]
@@ -513,7 +514,7 @@ def _fit_stack(
     cov = _solve_factored(factors, np.broadcast_to(np.eye(p), H.shape))
     edf = np.full(R, float(p))
     # tr(H) = tr((X'WX + P)^-1 X'WX); exactly p when P = 0
-    smoothed = np.broadcast_to(frozen.P.any(axis=(-2, -1)), (R,)).copy()
+    smoothed = frozen.P.any(axis=(-2, -1))
     smoothed[list(singular)] = False
     if smoothed.any():
         hat = _solve_factored({r: c for r, c in factors.items() if smoothed[r]}, info)

@@ -47,7 +47,6 @@ from .estimator import (
     unpenalized_fisher,
     unpenalized_fisher_batch,
 )
-from .link_map import IncompatibleEta
 from .model_core import (
     INTERCEPT,
     Dataset,
@@ -633,12 +632,12 @@ def aic_profile(
     converged fit of its order, or from ``default_start`` before one.
     The walk takes each lambda once, with one ``fit_batch`` call across
     the orders; each fit has the bits of that order's chain of solo
-    fits.  A call that raises ``IncompatibleEta`` or
-    ``FloatingPointError`` is fitted again one order at a time, so a
-    raise fails only its own point.  Returns the points in (order,
-    lambda) order and the converged fit with the least AIC, taken in
-    the order of ``orders`` and then of the lambdas, None when no fit
-    converged.
+    fits.  A fit that stops without converging is a failed point.  An
+    exception from ``fit_batch`` propagates; the starts, ``default_start``
+    and converged fits, have positive cells, so none is expected.
+    Returns the points in (order, lambda) order and the converged fit
+    with the least AIC, taken in the order of ``orders`` and then of the
+    lambdas, None when no fit converged.
     """
     options = options if options is not None else FitOptions()
     if options.start is not None:
@@ -652,14 +651,11 @@ def aic_profile(
     fits: list[list[FitResult | None]] = [[] for _ in orders]
     for lam in lambdas:
         configs = [_profile_penalty(order, lam) for order in orders]
-        try:
-            results = fit_batch(
-                [dataset] * len(orders), spec, configs, dataclasses.replace(options, start=starts)
-            )
-        except (IncompatibleEta, FloatingPointError):
-            results = [_fit_or_none(dataset, spec, c, options, b) for c, b in zip(configs, starts)]
+        results = fit_batch(
+            [dataset] * len(orders), spec, configs, dataclasses.replace(options, start=starts)
+        )
         for i, res in enumerate(results):
-            ok = res is not None and not res.fisher_scoring_failed
+            ok = not res.fisher_scoring_failed
             fits[i].append(res if ok else None)
             if ok:
                 starts[i] = res.beta_hat
@@ -675,16 +671,6 @@ def aic_profile(
                 best, best_aic = res, res.aic
     points.sort(key=lambda p: (p.order, p.lam))
     return points, best
-
-
-def _fit_or_none(
-    dataset: Dataset, spec: ModelSpec, penalty: PenaltyConfig, options: FitOptions, start
-) -> FitResult | None:
-    """One profile fit alone from ``start``; None when it raises."""
-    try:
-        return fit(dataset, spec, penalty, dataclasses.replace(options, start=start))
-    except (IncompatibleEta, FloatingPointError):
-        return None
 
 
 def default_null_calibration_truth(n: int = 400) -> GeneratingModel:

@@ -189,15 +189,14 @@ _NOISE_SAFETY = 32.0
 class PenaltyOperator:
     """The penalty of one Fisher-scoring step for a stack of replicates.
 
-    Built from one config, it holds the block terms in factored form and
-    their matrix P (p, p), shared by every replicate.  Built from a list
-    of configs, one per replicate, each block term holds its smoothing
-    value as an (R,) column, 0 for a replicate whose config lacks the
-    term, and P is (R, p, p); every config's terms keep their order, and
-    a term listed twice stays two terms.  A term at 0 adds a zero to a
-    replicate's tau, P beta and P, which changes no value, so each
-    replicate gets the bits of its own config alone.  The ordering terms are shared: the configs
-    of one stack must agree on them.
+    It is built from a sequence of configs, one per replicate.  Each
+    block term holds its smoothing value as an (R,) column, 0 for a
+    replicate whose config lacks the term, and P is (R, p, p); every
+    config's terms keep their order, and a term listed twice stays two
+    terms.  A term at 0 adds a zero to a replicate's tau, P beta and P,
+    which changes no value, so each replicate gets the bits of its own
+    config alone.  The ordering terms are shared: the configs of one
+    stack must agree on them.
 
     Evaluating tau and P beta through the block operators K avoids the
     catastrophic cancellation of the assembled quadratic form: near an
@@ -216,18 +215,18 @@ class PenaltyOperator:
     replicate and give each the bits it would get alone.
     """
 
-    def __init__(self, config: PenaltyConfig | Sequence[PenaltyConfig], spec: ModelSpec):
-        single = isinstance(config, PenaltyConfig)
-        configs = [config] if single else list(config)
+    def __init__(self, configs: Sequence[PenaltyConfig], spec: ModelSpec):
+        configs = list(configs)
         orderings = {c.orderings for c in configs}
         if len(orderings) > 1:
             raise ValueError("the penalties of one stack differ in their ordering terms")
-        self.size = spec.layout.size
-        self.lead = () if single else (len(configs),)
-        self.terms = _stacked_terms(configs, spec, self.lead)
+        self.terms = _stacked_terms(configs, spec)
         self.orderings = orderings.pop() if orderings else ()
         self.pair = spec.pair
-        self.P = self.matrix()
+        # P of the block terms, one (p, p) per replicate
+        self.P = np.zeros((len(configs), spec.layout.size, spec.layout.size))
+        for sl, lam, K in self.terms:
+            self.P[:, sl, sl] += lam[:, None, None] * (K.T @ K)
         self.G = None  # until ordering_state freezes the ordering terms
         self.coefs: tuple[np.ndarray, ...] = ()
 
@@ -242,19 +241,15 @@ class PenaltyOperator:
     def __getitem__(self, keep: np.ndarray) -> "PenaltyOperator":
         """The replicates flagged in the boolean mask ``keep``.
 
-        Built from a list of configs, the slice drops every block term
-        whose smoothing value is 0 for all kept replicates: such a term
-        only adds zeros, so no kept replicate's bits move, and a lone
-        replicate left iterating pays for its own terms only.
+        The slice drops every block term whose smoothing value is 0 for
+        all kept replicates: such a term only adds zeros, so no kept
+        replicate's bits move, and a lone replicate left iterating pays
+        for its own terms only.
         """
-        if self.P.ndim == 2:  # shared by every replicate
-            return self
         out = copy.copy(self)
         out.P = self.P[keep]
-        if self.lead:
-            out.lead = out.P.shape[:1]
-            kept = ((sl, lam[keep], K) for sl, lam, K in self.terms)
-            out.terms = [term for term in kept if term[1].any()]
+        kept = ((sl, lam[keep], K) for sl, lam, K in self.terms)
+        out.terms = [term for term in kept if term[1].any()]
         if self.G is not None:
             out.G, out.coefs = self.G[keep], tuple(c[keep] for c in self.coefs)
         return out
@@ -265,15 +260,15 @@ class PenaltyOperator:
         R = len(self.G)
         return self.G.reshape(R, -1, self.G.shape[-1]), [c.reshape(R, 1, -1) for c in self.coefs]
 
-    def tau(self, beta: np.ndarray) -> float | np.ndarray:
-        """tau(beta); a stack of coefficient rows (..., p) gives one value
-        per row, computed as for that row alone."""
+    def tau(self, beta: np.ndarray) -> np.ndarray:
+        """tau(beta) of coefficient rows (R, p), one value per row,
+        computed as for that row alone."""
         total = np.zeros(beta.shape[:-1])
         for sl, lam, K in self.terms:
             w = (K @ beta[..., sl, None])[..., 0]
             total = total + lam * np.vecdot(w, w)
         if self.G is None:
-            return float(total) if beta.ndim == 1 else total
+            return total
         ordering = 0
         for (_, _, margin), coef in zip(self.orderings, self.coefs):
             v = (self.G @ beta[:, None, :, None])[..., 0] - margin
@@ -281,7 +276,7 @@ class PenaltyOperator:
         return total + ordering
 
     def grad(self, beta: np.ndarray) -> np.ndarray:
-        """Gradient of tau / 2, that is P beta - q, row by row for (..., p);
+        """Gradient of tau / 2, that is P beta - q, row by row for (R, p);
         the block terms give sum lam K'(K beta)."""
         out = np.zeros(beta.shape)
         for sl, lam, K in self.terms:
@@ -292,13 +287,6 @@ class PenaltyOperator:
         for (_, _, margin), w in zip(self.orderings, weights):
             out = out + ((w * ((G @ beta[..., None]).mT - margin)) @ G)[:, 0]
         return out
-
-    def matrix(self) -> np.ndarray:
-        """P of the block terms, (p, p) or one per replicate."""
-        P = np.zeros((*self.lead, self.size, self.size))
-        for sl, lam, K in self.terms:
-            P[..., sl, sl] += lam[..., None, None] * (K.T @ K)
-        return P
 
     def score_tolerance(self, beta: np.ndarray, grad_tol: float) -> np.ndarray:
         """Per-component tolerance of the penalized score: grad_tol or the
@@ -316,9 +304,10 @@ class PenaltyOperator:
 
 
 def _stacked_terms(
-    configs: list[PenaltyConfig], spec: ModelSpec, lead: tuple[int, ...]
+    configs: list[PenaltyConfig], spec: ModelSpec
 ) -> list[tuple[slice, np.ndarray, np.ndarray]]:
-    """The block terms of ``configs`` as (slice, lam, K), lam shaped ``lead``.
+    """The block terms of ``configs`` as (slice, lam, K), lam one value
+    per config.
 
     A config's terms go to slots in increasing order: each to the next
     slot after its previous term's that has the same block and operator,
@@ -342,16 +331,13 @@ def _stacked_terms(
                 columns.append(np.zeros(len(configs)))
             columns[j][rows] = lam
             j += 1
-    return [
-        (layout.block(*key).slice, lam.reshape(lead), K)
-        for (key, K), lam in zip(slots, columns)
-    ]
+    return [(layout.block(*key).slice, lam, K) for (key, K), lam in zip(slots, columns)]
 
 
 def _block_terms_only(config: PenaltyConfig, spec: ModelSpec) -> PenaltyOperator:
     if config.orderings:
         raise ValueError("ordering penalty depends on beta")
-    return PenaltyOperator(config, spec)
+    return PenaltyOperator([config], spec)
 
 
 def build_penalty_matrix(config: PenaltyConfig, spec: ModelSpec) -> np.ndarray:
@@ -360,12 +346,12 @@ def build_penalty_matrix(config: PenaltyConfig, spec: ModelSpec) -> np.ndarray:
     Rejects ordering terms: their matrix depends on beta and the data,
     see build_ordering_penalty.
     """
-    return _block_terms_only(config, spec).P
+    return _block_terms_only(config, spec).P[0]
 
 
 def penalty_value(config: PenaltyConfig, spec: ModelSpec, beta: np.ndarray) -> float:
     """tau(beta) for a penalty of block terms."""
-    return _block_terms_only(config, spec).tau(np.asarray(beta, dtype=float))
+    return float(_block_terms_only(config, spec).tau(np.asarray(beta, dtype=float)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +399,7 @@ def build_ordering_penalty(
     observed profile, weighted by group counts.  Held fixed within one
     Fisher-scoring step by the estimator.
     """
-    step = PenaltyOperator(PenaltyConfig.ordering(lambda1, lambda2), spec)
+    step = PenaltyOperator([PenaltyConfig.ordering(lambda1, lambda2)], spec)
     X = design_matrices(spec, [dataset])
     weights = dataset.counts.sum(axis=(1, 2)).astype(float)[None]
     return ordering_state(step, X, weights, np.asarray(beta, dtype=float)[None]).P[0]

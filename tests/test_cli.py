@@ -770,7 +770,19 @@ def test_option_validation(tmp_path):
             "model": {"uniform_association": True},
         },
     )
-    assert main(["fit", "--config", cfg, "--threads", "0", "--out", str(tmp_path)]) == 2
+    # refused before any side effect: no output directory is made
+    fresh = tmp_path / "threads"
+    assert main(["fit", "--config", cfg, "--threads", "0", "--out", str(fresh)]) == 2
+    assert not fresh.exists()
+    # --seed meets the schema's seed rule, as a config "seed" does
+    emp = write_json(
+        tmp_path,
+        "emp.json",
+        {"dataset": {"path": str(REPO / "data/occupational_status.dat"), "format": "table"}},
+    )
+    fresh = tmp_path / "seed"
+    assert main(["empirical", "--config", emp, "--seed", "-1", "--out", str(fresh)]) == 2
+    assert not fresh.exists()
     prof = write_json(
         tmp_path,
         "prof.json",

@@ -10,7 +10,6 @@ from bolm.estimator import FitOptions, fit, unpenalized_fisher
 from bolm.link_map import IncompatibleEta
 from bolm.inference import (
     HEAVY_LAMBDA,
-    ProfilePoint,
     aic_profile,
     default_null_calibration_truth,
     effective_dimension,
@@ -416,7 +415,7 @@ def test_gray_null_weights_at_fit():
     np.testing.assert_allclose(w, np.ones(4), atol=1e-8)
     # first-difference smoothing on the tested block: singular penalty
     # keeps exactly one weight at one, the others strictly below
-    P = PenaltyOperator(PenaltyConfig.arc1({(3, "x"): 25.0}), full).matrix()
+    P = PenaltyOperator([PenaltyConfig.arc1({(3, "x"): 25.0})], full).P[0]
     w_pen = np.sort(gray_law(F, P, beta, excluded=idx)[0])
     assert w_pen[-1] == pytest.approx(1.0, abs=1e-8)
     assert w_pen[0] < 0.9
@@ -467,13 +466,11 @@ def test_aic_profile_walks_the_grid_and_keeps_the_best_fit(monkeypatch):
 
 
 @pytest.mark.parametrize("error", [IncompatibleEta, FloatingPointError])
-def test_aic_profile_fails_only_the_point_that_raises(monkeypatch, error):
+def test_aic_profile_propagates_a_raise_from_fit_batch(monkeypatch, error):
     counts = np.array([[12, 8, 5, 3], [7, 14, 9, 4], [4, 9, 13, 8], [2, 5, 9, 15]])
     pair = OrdinalPair(4, 4)
     dataset = Dataset.merged(pair, [((), counts)])
     spec = ModelSpec(pair, ())
-    lambdas = (0.0, 1.0, 100.0)
-    clean, _ = aic_profile(dataset, spec, (1, 2), lambdas)
     poisoned = inference._profile_penalty(2, 1.0)
     fit_stack = estimator._fit_stack
 
@@ -483,19 +480,8 @@ def test_aic_profile_fails_only_the_point_that_raises(monkeypatch, error):
         return fit_stack(datasets, spec, configs, *rest)
 
     monkeypatch.setattr(estimator, "_fit_stack", raising)
-    points, best = aic_profile(dataset, spec, (1, 2), lambdas)
-    failed = ProfilePoint(2, 1.0, math.nan, math.nan, False)
-    for got, want in zip(points, clean):
-        if (got.order, got.lam) == (2, 1.0):
-            assert repr(got) == repr(failed)
-        elif (got.order, got.lam) != (2, 100.0):
-            assert got == want
-    # the next lambda of that order starts from its last converged fit
-    last = fit(dataset, spec, inference._profile_penalty(2, 0.0))
-    resumed = fit(dataset, spec, inference._profile_penalty(2, 100.0),
-                  FitOptions(start=last.beta_hat))
-    assert (points[-1].aic, points[-1].edf) == (resumed.aic, resumed.edf)
-    assert best is not None and best.converged
+    with pytest.raises(error, match="poisoned"):
+        aic_profile(dataset, spec, (1, 2), (0.0, 1.0, 100.0))
 
 
 def test_exclusion_tests_warn_about_the_tested_block():
@@ -665,8 +651,8 @@ def test_simulate_lrp_null_mixture_weights():
     blk = ParamLayout(truth.spec).block(3, "x")
     idx = np.arange(blk.start, blk.start + blk.length)
     P = PenaltyOperator(
-        PenaltyConfig.arc1({(3, INTERCEPT): 1.0, (3, "x"): 1.0}), truth.spec
-    ).matrix()
+        [PenaltyConfig.arc1({(3, INTERCEPT): 1.0, (3, "x"): 1.0})], truth.spec
+    ).P[0]
     np.testing.assert_allclose(
         gray_law(F, P, truth.beta_true, flattened=[idx])[0], w, rtol=1e-12
     )

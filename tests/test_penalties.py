@@ -84,14 +84,14 @@ def test_matrix_and_factored_sum_agree_across_families():
     ]
     for cfg in configs:
         P = build_penalty_matrix(cfg, spec)
-        op = PenaltyOperator(cfg, spec)
-        np.testing.assert_allclose(P, op.matrix(), atol=1e-12)
+        op = PenaltyOperator([cfg], spec)
+        np.testing.assert_allclose(P, op.P[0], atol=1e-12)
         for _ in range(30):
             beta = rng.standard_normal(layout.size)
             direct = float(beta @ P @ beta)
-            factored = op.tau(beta)
+            factored = op.tau(beta[None])[0]
             assert abs(direct - factored) <= 1e-12 * max(1.0, abs(direct))
-            np.testing.assert_allclose(op.grad(beta), P @ beta, atol=1e-10)
+            np.testing.assert_allclose(op.grad(beta[None])[0], P @ beta, atol=1e-10)
 
 
 def test_penalty_value_matches_quadratic_form():
@@ -240,7 +240,7 @@ def test_build_penalty_matrix_rejects_ordering_family():
 
 def frozen_ordering(spec, dataset, beta, lambda1, lambda2, margin=0.0):
     """The ordering penalty of one replicate, frozen at ``beta``."""
-    step = PenaltyOperator(PenaltyConfig.ordering(lambda1, lambda2, margin), spec)
+    step = PenaltyOperator([PenaltyConfig.ordering(lambda1, lambda2, margin)], spec)
     X = design_matrices(spec, dataset)
     weights = dataset.counts.sum(axis=(1, 2))
     return ordering_state(step, X[None], weights[None], beta[None])
@@ -299,12 +299,13 @@ def test_step_penalty_stack_equals_each_replicate_alone():
         PenaltyConfig.ordering(1.0, 3.0),
         PenaltyConfig.ordering(0.5, 2.0, margin=0.1),
     )
-    step = PenaltyOperator(config, spec)
-    stack = ordering_state(step, X, weights, beta)
+    stack = ordering_state(PenaltyOperator([config] * 2, spec), X, weights, beta)
     assert stack.P.shape == (2, beta.shape[1], beta.shape[1])
     assert all(c.any() and not c.all() for c in stack.coefs)  # some rows violate
     for r in range(2):
-        alone = ordering_state(step, X[r : r + 1], weights[r : r + 1], beta[r : r + 1])
+        alone = ordering_state(
+            PenaltyOperator([config], spec), X[r : r + 1], weights[r : r + 1], beta[r : r + 1]
+        )
         sub = stack[np.arange(2) == r]
         for frozen in (alone, sub):
             assert np.array_equal(frozen.tau(beta[r : r + 1]), stack.tau(beta)[r : r + 1])
@@ -344,7 +345,7 @@ def assert_replicates_alone(stack, alone, beta, rows):
         assert np.array_equal(op.tau(b), tau[i : i + 1])
         assert np.array_equal(op.grad(b), grad[i : i + 1])
         assert np.array_equal(op.score_tolerance(b, 1e-7), tolerance[i : i + 1])
-        assert np.array_equal(np.broadcast_to(op.P, (1, *op.P.shape[-2:])), stack.P[i : i + 1])
+        assert np.array_equal(op.P, stack.P[i : i + 1])
 
 
 def test_operator_over_configs_gives_each_replicate_its_own_bits():
@@ -357,11 +358,11 @@ def test_operator_over_configs_gives_each_replicate_its_own_bits():
 
     stack = PenaltyOperator(list(STACKED_CONFIGS), spec)
     # the repeated terms stay two terms each
-    repeated = PenaltyOperator(STACKED_CONFIGS[4], spec)
+    repeated = PenaltyOperator([STACKED_CONFIGS[4]], spec)
     assert sum(bool(lam[4]) for _, lam, _ in stack.terms) == len(repeated.terms) == 5
 
     def solo(r):
-        return PenaltyOperator(STACKED_CONFIGS[r], spec)
+        return PenaltyOperator([STACKED_CONFIGS[r]], spec)
 
     assert_replicates_alone(stack, solo, beta, range(R))
     # a slice drops the slots at zero for every kept replicate: alone, the
@@ -385,7 +386,7 @@ def test_operator_over_configs_gives_each_replicate_its_own_bits():
 
     def frozen_solo(r):
         return ordering_state(
-            PenaltyOperator(configs[r], spec), X[r : r + 1], weights[r : r + 1], beta[r : r + 1]
+            PenaltyOperator([configs[r]], spec), X[r : r + 1], weights[r : r + 1], beta[r : r + 1]
         )
 
     assert_replicates_alone(frozen, frozen_solo, beta, range(R))
